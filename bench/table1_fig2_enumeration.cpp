@@ -6,6 +6,7 @@
 // equivalents ("not possible" where Slurm cannot express the order).
 #include <iomanip>
 #include <iostream>
+#include <string>
 
 #include "mixradix/mr/decompose.hpp"
 #include "mixradix/mr/equivalence.hpp"
@@ -51,9 +52,13 @@ int main() {
     for (int level : order) {
       permuted_coords.push_back(coords[static_cast<std::size_t>(level)]);
     }
+    // Built by appending: GCC 12's -O3 flags `"[" + std::string` with a
+    // spurious -Werror=restrict inside char_traits.
+    std::string cell = "[";
+    cell += util::join_ints(permuted_coords, ", ");
+    cell += ']';
     std::cout << std::left << std::setw(12) << order_to_string(order)
-              << std::setw(22)
-              << ("[" + util::join_ints(permuted_coords, ", ") + "]")
+              << std::setw(22) << cell
               << std::setw(20) << h.permuted(order).to_string()
               << reorder_rank(h, 10, order) << "\n";
   }

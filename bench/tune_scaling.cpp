@@ -11,17 +11,18 @@
 //     representative's score.
 //  C. DETERMINISM — the canonical JSON report is byte-identical for
 //     --threads=1 and --threads=4.
-//  D. AMORTIZATION — on a multi-payload query the BoundCache computes each
-//     binding class's payload-invariant structure ONCE and evaluates it
-//     across the payload grid (>= 5x fewer full route-resolution passes),
-//     with the canonical report byte-identical for {cache on, off} x
-//     {serial, threaded}; and an incremental re-tune seeded from a
-//     subset-grid report reaches the cold run's exact top-k with strictly
-//     fewer simulated candidates.
+//  D. BOUND COST — on a multi-payload query every candidate's stage-2
+//     bound equals, bit for bit, the sum of fresh analyze_jobs bounds over
+//     the grid, the canonical report is byte-identical for --threads={1,4},
+//     and one bound costs less than one simulation of the same point (the
+//     condition under which branch-and-bound pays); and an incremental
+//     re-tune seeded from a subset-grid report reaches the cold run's exact
+//     top-k with strictly fewer simulated candidates.
 //
 // Verdicts land in BENCH_tune.json (`top1_matches_exhaustive`,
 // `pruning_sound`, `sim_reduction`, `identical_output`, `identical_ranking`,
-// `bound_reuse_ratio`, `incremental_same_topk`) so CI greps them.
+// `bounds_match_fresh`, `bound_cheaper_than_sim`, `incremental_same_topk`)
+// so CI greps them.
 // Pass --quick to trim part A's size axis and skip the depth-7 search.
 #include <algorithm>
 #include <chrono>
@@ -33,9 +34,12 @@
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "mixradix/harness/microbench.hpp"
+#include "mixradix/simmpi/timed_executor.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/tune/report.hpp"
 #include "mixradix/tune/search.hpp"
+#include "mixradix/verify/binding.hpp"
 
 namespace {
 
@@ -257,11 +261,8 @@ int main(int argc, char** argv) {
                "--threads={1,4}: "
             << (identical ? "yes" : "NO — DETERMINISM VIOLATION") << "\n";
 
-  // ---- Part D: bound-cache amortization + incremental re-tune ------------
-  // A multi-payload query on deep6: six payload sizes in one algorithm
-  // regime, so every binding class's analyzer structure is payload-invariant
-  // across the whole grid. Each configuration runs in its OWN engine so the
-  // cache starts cold and the reuse accounting is exact.
+  // ---- Part D: bound exactness and cost + incremental re-tune ------------
+  // A multi-payload query on deep6, each run in its OWN cold engine.
   mr::tune::TuneQuery multi = deep_query;
   multi.total_bytes = {256ll << 10, 384ll << 10, 512ll << 10,
                        768ll << 10, 1024ll << 10, 1536ll << 10};
@@ -271,51 +272,87 @@ int main(int argc, char** argv) {
   // use this same query, so the comparison is apples to apples.
   multi.wave_size = 32;
 
-  const auto run_multi = [&](bool use_cache, int threads) {
+  const auto run_multi = [&](int threads) {
     mr::Engine fresh;
     mr::tune::TuneQuery q = multi;
-    q.use_bound_cache = use_cache;
     q.threads = threads;
     return mr::tune::tune(fresh, machine6, q);
   };
-
-  // {cache on, off} x {serial, threaded}: four cold runs, one canonical
-  // document. The cached evaluate IS the uncached analysis bit for bit, so
-  // every byte — bounds, visit order, prunes, scores, ranking — must match.
-  const auto multi_on = run_multi(true, 1);
-  const auto multi_off = run_multi(false, 1);
-  const auto multi_on_mt = run_multi(true, 4);
-  const auto multi_off_mt = run_multi(false, 4);
+  const auto multi_serial = run_multi(1);
+  const auto multi_mt = run_multi(4);
   const auto canon = [](const mr::tune::TuneReport& r) {
     std::ostringstream os;
-    mr::tune::write_json(os, r);
+    mr::tune::write_json(os, r, /*candidates=*/true);
     return os.str();
   };
-  const std::string canon_on = canon(multi_on);
-  const bool identical_ranking = canon_on == canon(multi_off) &&
-                                 canon_on == canon(multi_on_mt) &&
-                                 canon_on == canon(multi_off_mt);
+  const bool identical_ranking = canon(multi_serial) == canon(multi_mt);
 
-  const std::int64_t built_on = multi_on.stats.bound_structures_built;
-  const std::int64_t reused_on = multi_on.stats.bound_structure_reuses;
-  const std::int64_t built_off = multi_off.stats.bound_structures_built;
-  const double bound_reuse_ratio =
-      built_on > 0 ? static_cast<double>(built_on + reused_on) /
-                         static_cast<double>(built_on)
-                   : 0.0;
-  const double bound_time_ratio =
-      multi_on.stats.bound_seconds > 0
-          ? multi_off.stats.bound_seconds / multi_on.stats.bound_seconds
-          : 0.0;
-  std::cout << "tune_scaling D (bound cache, deep6 x "
-            << multi.total_bytes.size() << " payloads): " << built_on
-            << " structures built + " << reused_on << " reused vs "
-            << built_off << " full analyses uncached (" << bound_reuse_ratio
-            << "x fewer full passes), stage-2 "
-            << multi_on.stats.bound_seconds << " s cached vs "
-            << multi_off.stats.bound_seconds << " s fresh ("
-            << bound_time_ratio << "x), reports identical for "
-            << "{cache on,off} x {threads 1,4}: "
+  // Reference: each candidate's bound recomputed with a fresh analyze_jobs
+  // per point, and each top-k candidate's points simulated, both serially
+  // through one engine, timed per call.
+  mr::Engine ref_engine;
+  const auto point_jobs = [&](const mr::Order& order,
+                              const mr::tune::QueryPoint& point) {
+    mr::harness::MicrobenchConfig mb;
+    mb.order = order;
+    mb.comm_size = point.comm_size;
+    mb.collective = point.collective;
+    mb.total_bytes = point.total_bytes;
+    mb.all_comms = multi.concurrency == mr::tune::Concurrency::AllComms;
+    mb.repetitions = multi.repetitions;
+    return mr::harness::protocol_jobs(ref_engine, machine6, mb);
+  };
+  mr::verify::binding::Options bound_only;
+  bound_only.load_report = false;
+  std::size_t bound_mismatches = 0;
+  for (std::size_t i = 0; i < multi_serial.candidates.size(); ++i) {
+    double bound = 0;
+    for (const auto& point : multi_serial.points) {
+      const auto jobs = point_jobs(multi_serial.candidates[i].order, point);
+      std::vector<mr::verify::binding::JobBinding> bindings;
+      for (const auto& job : jobs) {
+        bindings.push_back({&job.plan->schedule, &job.plan->exec,
+                            job.plan->repetitions, &job.core_of_rank,
+                            job.start_time});
+      }
+      const auto result =
+          mr::verify::binding::analyze_jobs(machine6, bindings, bound_only);
+      if (result.clean()) {
+        bound += result.bound.for_slack(multi.completion_slack);
+      }
+    }
+    for (const auto* report : {&multi_serial, &multi_mt}) {
+      if (bound != report->candidates[i].lower_bound) ++bound_mismatches;
+    }
+  }
+  const bool bounds_match_fresh = bound_mismatches == 0;
+
+  std::int64_t sims = 0;
+  const auto sim_start = std::chrono::steady_clock::now();
+  for (const std::size_t t : multi_serial.top) {
+    for (const auto& point : multi_serial.points) {
+      mr::simmpi::ExecOptions exec;
+      exec.completion_slack = multi.completion_slack;
+      mr::simmpi::run_timed(
+          machine6, point_jobs(multi_serial.candidates[t].order, point), exec);
+      ++sims;
+    }
+  }
+  const double sim_cost = seconds_since(sim_start) / static_cast<double>(sims);
+  const double bound_cost =
+      multi_serial.stats.bound_seconds /
+      static_cast<double>(multi_serial.stats.bounds_computed *
+                          static_cast<std::int64_t>(multi.total_bytes.size()));
+  const double bound_over_sim = bound_cost / sim_cost;
+  const bool bound_cheaper = bound_over_sim < 1.0;
+  std::cout << "tune_scaling D (bounds, deep6 x " << multi.total_bytes.size()
+            << " payloads): " << multi_serial.stats.bounds_computed
+            << " candidate bounds equal fresh analyze_jobs bit for bit: "
+            << (bounds_match_fresh ? "yes" : "NO") << ", stage-2 "
+            << multi_serial.stats.bound_seconds << " s serial; per point "
+            << bound_cost * 1e6 << " us per bound vs " << sim_cost * 1e6
+            << " us per simulation (" << bound_over_sim
+            << "x), reports identical for --threads={1,4}: "
             << (identical_ranking ? "yes" : "NO — RANKING DIVERGENCE") << "\n";
 
   // Incremental re-tune: tune the first half of the payload grid, then
@@ -331,11 +368,11 @@ int main(int argc, char** argv) {
   const auto seeded =
       mr::tune::tune(inc_engine, machine6, multi, &prev_report);
 
-  bool incremental_same_topk = seeded.top.size() == multi_on.top.size();
+  bool incremental_same_topk = seeded.top.size() == multi_serial.top.size();
   if (incremental_same_topk) {
     for (std::size_t r = 0; r < seeded.top.size(); ++r) {
       const auto& got = seeded.candidates[seeded.top[r]];
-      const auto& want = multi_on.candidates[multi_on.top[r]];
+      const auto& want = multi_serial.candidates[multi_serial.top[r]];
       if (got.order != want.order || got.score != want.score) {
         incremental_same_topk = false;
         std::cout << "  TOP-K MISMATCH at rank " << r + 1 << ": seeded "
@@ -346,19 +383,19 @@ int main(int argc, char** argv) {
     }
   }
   const bool incremental_fewer =
-      seeded.stats.simulated < multi_on.stats.simulated &&
+      seeded.stats.simulated < multi_serial.stats.simulated &&
       seeded.stats.seeded_candidates > 0;
   std::cout << "tune_scaling D (incremental): "
             << seeded.stats.seeded_candidates << " seeds, "
             << seeded.stats.simulated << " simulated vs "
-            << multi_on.stats.simulated
+            << multi_serial.stats.simulated
             << " cold, top-k identical: "
             << (incremental_same_topk ? "yes" : "NO") << ", strictly fewer: "
             << (incremental_fewer ? "yes" : "NO") << "\n";
 
   const bool pass =
       top1_matches && deep_top1 && pruning_sound && sim_reduction >= 5.0 &&
-      identical && identical_ranking && bound_reuse_ratio >= 5.0 &&
+      identical && identical_ranking && bounds_match_fresh && bound_cheaper &&
       incremental_same_topk && incremental_fewer;
 
   std::ofstream json("BENCH_tune.json");
@@ -385,21 +422,21 @@ int main(int argc, char** argv) {
        << ",\n"
        << "  \"identical_output\": " << (identical ? "true" : "false") << ",\n"
        << "  \"multi_payload_points\": " << multi.total_bytes.size() << ",\n"
-       << "  \"bound_structures_built\": " << built_on << ",\n"
-       << "  \"bound_structure_reuses\": " << reused_on << ",\n"
-       << "  \"bound_full_passes_uncached\": " << built_off << ",\n"
-       << "  \"bound_reuse_ratio\": " << bound_reuse_ratio << ",\n"
-       << "  \"bound_seconds_cached\": " << multi_on.stats.bound_seconds
+       << "  \"bound_seconds\": " << multi_serial.stats.bound_seconds
        << ",\n"
-       << "  \"bound_seconds_fresh\": " << multi_off.stats.bound_seconds
+       << "  \"bound_cost_s\": " << bound_cost << ",\n"
+       << "  \"sim_cost_s\": " << sim_cost << ",\n"
+       << "  \"bound_over_sim\": " << bound_over_sim << ",\n"
+       << "  \"bound_cheaper_than_sim\": " << (bound_cheaper ? "true" : "false")
        << ",\n"
-       << "  \"bound_time_ratio\": " << bound_time_ratio << ",\n"
+       << "  \"bounds_match_fresh\": "
+       << (bounds_match_fresh ? "true" : "false") << ",\n"
        << "  \"identical_ranking\": "
        << (identical_ranking ? "true" : "false") << ",\n"
        << "  \"incremental_seeded\": " << seeded.stats.seeded_candidates
        << ",\n"
        << "  \"incremental_simulated\": " << seeded.stats.simulated << ",\n"
-       << "  \"cold_simulated\": " << multi_on.stats.simulated << ",\n"
+       << "  \"cold_simulated\": " << multi_serial.stats.simulated << ",\n"
        << "  \"incremental_same_topk\": "
        << (incremental_same_topk ? "true" : "false") << ",\n"
        << "  \"incremental_fewer_sims\": "

@@ -46,11 +46,8 @@ int usage() {
       "  --budget-seconds S  wall-clock cap (non-deterministic)\n"
       "  --shard i/n         search only candidate shard i of n\n"
       "  --plan-cache-cap N  bound this query's plan cache (LRU, 0 = off)\n"
-      "  --bound-cache-cap N bound the static-bound structure cache\n"
-      "                      (LRU, default 512, 0 = unbounded)\n"
-      "  --no-bound-cache 1  fresh analyze_jobs per candidate x point\n"
-      "  --json 1            canonical JSON report on stdout (cache and\n"
-      "                      reuse stats go to stderr)\n";
+      "  --json 1            canonical JSON report on stdout (plan-cache\n"
+      "                      stats go to stderr)\n";
   return 2;
 }
 
@@ -135,29 +132,17 @@ int main(int argc, char** argv) {
     // in the process.
     EngineConfig config;
     config.plan_cache_capacity = std::stoull(flag("plan-cache-cap", "0"));
-    config.bound_cache_capacity = std::stoull(flag(
-        "bound-cache-cap",
-        std::to_string(verify::binding::BoundCache::kDefaultCapacity).c_str()));
     Engine engine(config);
-    query.use_bound_cache = flag("no-bound-cache", "0") == "0";
 
     const tune::TuneReport report = tune::tune(engine, machine, query);
     const Engine::Stats stats = engine.stats();
-    // Cache/reuse statistics, next to each other: plan cache (compiled
-    // plans) and bound cache (payload-invariant analyzer structures). In
-    // --json mode they go to stderr so stdout stays the canonical document.
+    // Plan-cache statistics; in --json mode they go to stderr so stdout
+    // stays the canonical document.
     std::ostringstream cache_line;
     cache_line << "plan cache: " << stats.plan_cache.hits << " hits, "
                << stats.plan_cache.misses << " misses, "
                << stats.plan_cache.entries << " entries, "
-               << stats.plan_cache.evictions << " evictions\n"
-               << "bound cache: " << stats.bound_cache.hits << " hits, "
-               << stats.bound_cache.misses << " misses, "
-               << stats.bound_cache.entries << " entries, "
-               << stats.bound_cache.evictions << " evictions\n"
-               << "stage-2 structures: "
-               << report.stats.bound_structures_built << " built, "
-               << report.stats.bound_structure_reuses << " reused\n";
+               << stats.plan_cache.evictions << " evictions\n";
     if (flag("json", "0") != "0") {
       tune::write_json(std::cout, report, /*candidates=*/false);
       std::cerr << cache_line.str();

@@ -52,6 +52,23 @@ struct PlanExec {
   std::vector<std::int32_t> recv_msg;
   /// Payload bytes per message id.
   std::vector<std::int64_t> msg_bytes;
+  /// Per message id: the flattened round that sends / receives it, -1
+  /// when no round does (the binding analyzer reports it, located).
+  std::vector<std::int64_t> msg_send_round;
+  std::vector<std::int64_t> msg_recv_round;
+  /// Ops naming a message id outside [0, messages) or sending/receiving a
+  /// message a second time; nonzero makes the CSR unusable for analysis.
+  std::int64_t malformed_ops = 0;
+  /// One repetition's happens-before graph in a topological order. Event
+  /// 2*i is round i's READY (the rank's previous round finished, its ops
+  /// post), 2*i + 1 its FINISH (all its ops complete). A READY precedes
+  /// its own FINISH and the FINISH of every round receiving one of its
+  /// sends; a FINISH precedes the READY of the rank's next round.
+  /// Repetitions only chain a rank's last round to its next first round,
+  /// so replaying this order once per repetition is a topological order of
+  /// the whole run. It is shorter than 2 * rounds exactly when the graph
+  /// has a cycle (the schedule deadlocks) or the CSR is malformed.
+  std::vector<std::int64_t> visit_order;
 
   std::int64_t rounds_of(std::int32_t rank) const {
     return rank_rounds_begin[static_cast<std::size_t>(rank) + 1] -

@@ -96,7 +96,7 @@ class Machine {
 /// derived structure (interned routes, channel capacities, static bounds) —
 /// pointer identity is NOT a safe test, since a new machine can reuse a
 /// dead one's address. Used by SimWorkspace rebinding and the
-/// verify::binding::BoundCache key.
+/// verify::binding::structure_key.
 std::string machine_fingerprint(const Machine& machine);
 
 }  // namespace mr::topo

@@ -100,11 +100,6 @@ struct TuneQuery {
   bool dedup = true;   ///< stage 1; off = every order its own candidate.
   bool prune = true;   ///< stage 2; off = simulate every candidate.
   bool use_plan_cache = true;  ///< resolve plans through the engine's cache.
-  /// Serve stage-2 bounds through the engine's BoundCache: one payload-
-  /// invariant structure per binding class, evaluated across the whole
-  /// payload grid. Bit-identical bounds either way (the cached evaluate IS
-  /// the uncached analysis); off = fresh analyze_jobs per candidate x point.
-  bool use_bound_cache = true;
   /// Shard `shard_index` of `shard_count` over the candidate stream: after
   /// dedup, candidate i (in representative-lexicographic order) belongs to
   /// shard i % shard_count. Shards partition the candidates exactly.
@@ -157,13 +152,6 @@ struct TuneStats {
   /// (h! x points); sim_points vs this is the funnel's saving.
   std::int64_t exhaustive_points = 0;
   std::int64_t budget_skipped = 0;
-  /// Stage-2 full analyses (route resolution + DP recording) vs cheap
-  /// structure reuses (BoundCache evaluate). built + reuses ==
-  /// bounds_computed x points; with the cache off every call is a build.
-  /// Excluded from write_json: reuse counts depend on cache warmth across
-  /// runs sharing an engine, and reports must stay byte-comparable.
-  std::int64_t bound_structures_built = 0;
-  std::int64_t bound_structure_reuses = 0;
   /// Candidates simulated as wave 0 from a previous report's ranking
   /// (incremental re-tune); 0 on a cold run. Deterministic, in write_json.
   std::int64_t seeded_candidates = 0;

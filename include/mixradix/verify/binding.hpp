@@ -37,11 +37,8 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "mixradix/simmpi/plan.hpp"
@@ -154,26 +151,54 @@ Result analyze_jobs(const topo::Machine& machine,
 /// Human-readable channel name: "socket[3].egress" etc.
 std::string channel_name(const topo::Machine& machine, simnet::ChannelId id);
 
-// ---- Payload-invariant bound structure and its cache ------------------------
+// ---- The bound kernel's reusable workspace ---------------------------------
 //
-// analyze_jobs splits naturally along the payload axis. Everything the
-// worklist DP's CONTROL FLOW depends on — resolved routes, the CSR
-// happens-before skeleton, node numbering, pend counts and therefore the
-// exact event pop order — is a function of the machine fingerprint and the
-// jobs' structural arrays alone; message byte counts only enter as VALUES
-// (eager flags, transfer floors, per-round CPU costs, channel byte totals).
-// BoundStructure captures the invariant half once — full route resolution,
-// validation diagnostics, and the recorded event schedule — and
-// evaluate() replays the recorded events applying the identical sequence of
-// max/min/+= value operations with floors recomputed from the live payload,
-// which makes its Result BIT-IDENTICAL to a fresh
-// analyze_jobs(machine, jobs, {load_report=false}) on any structurally
-// compatible job list (tests/test_binding.cpp pins this). Soundness is
-// therefore inherited, not re-argued: a cached bound IS the uncached bound.
+// The critical-path DP's control flow depends only on each job's plan: its
+// PlanExec carries one repetition's topological visit order, which the
+// kernel replays once per repetition, job by job, over flat buffers.
+// Every DP step is a max, a min, a `+` of fixed operands or an exact int64
+// sum, so ANY topological order yields the same doubles bit for bit
+// (DESIGN.md §15). What remains per binding is the core-range check and
+// one memoized route lookup per message.
 
-/// The payload-invariant half of one analyze_jobs call (see above). Built
-/// from a full analysis; immutable afterwards, so a single structure can be
-/// evaluated concurrently from many threads.
+/// Scratch of the bound kernel for one machine: memoized route facts per
+/// core pair, the machine's channel capacities, and the DP buffers. Reuse
+/// across calls is what makes a bound cheap. Not thread-safe: one per
+/// thread (tune gives each pool slot its own for the whole query). The
+/// machine must outlive the workspace.
+class Workspace {
+ public:
+  explicit Workspace(const topo::Machine& machine);
+  ~Workspace();
+  Workspace(Workspace&&) noexcept;
+  Workspace& operator=(Workspace&&) noexcept;
+
+  const topo::Machine& machine() const;
+
+  struct Impl;
+
+ private:
+  friend Result analyze_jobs(Workspace& workspace,
+                             const std::vector<JobBinding>& jobs);
+  std::unique_ptr<Impl> impl_;
+};
+
+/// Equivalent to analyze_jobs(workspace.machine(), jobs, {load_report =
+/// false}) — a bit-identical Result — computed in a reusable workspace. A
+/// clean binding costs the core and route checks plus one kernel pass; any
+/// finding (error or warning) re-runs the full analysis for its located
+/// diagnostics.
+Result analyze_jobs(Workspace& workspace, const std::vector<JobBinding>& jobs);
+
+// ---- Structural snapshots (replay oracle) -----------------------------------
+
+/// A structural snapshot of one analyze_jobs call: the jobs' payload-
+/// invariant arrays plus the diagnostics they produced. compatible() proves
+/// a later job list has the same structure, and evaluate() recomputes the
+/// bound for its live payload with the same kernel analyze_jobs uses, so
+/// evaluate() is BIT-IDENTICAL to a fresh
+/// analyze_jobs(machine, jobs, {load_report=false}) on any compatible job
+/// list. Immutable once built; evaluate() may run concurrently.
 class BoundStructure {
  public:
   BoundStructure();
@@ -184,8 +209,8 @@ class BoundStructure {
   BoundStructure& operator=(const BoundStructure&) = delete;
 
   /// Run the full analysis (diagnostics + lower bound, no load report) and
-  /// record the payload-invariant structure alongside. `fresh` receives
-  /// exactly what analyze_jobs(machine, jobs, {load_report=false}) returns.
+  /// snapshot the structure alongside. `fresh` receives exactly what
+  /// analyze_jobs(machine, jobs, {load_report=false}) returns.
   static BoundStructure build(const topo::Machine& machine,
                               const std::vector<JobBinding>& jobs,
                               Result& fresh);
@@ -197,14 +222,12 @@ class BoundStructure {
   /// Exact structural-equality check: machine fingerprint, job count, and
   /// every payload-invariant array (ranks, repetitions, start times, message
   /// endpoints, execution CSR, core bindings) must match bit for bit. This
-  /// is a full comparison, not a hash — a true return PROVES evaluate()
-  /// equals the uncached analysis.
+  /// is a full comparison, not a hash.
   bool compatible(const topo::Machine& machine,
                   const std::vector<JobBinding>& jobs) const;
 
-  /// The payload-dependent pass: recompute eager flags, transfer floors and
-  /// per-round CPU costs from the live message bytes, then replay the
-  /// recorded event schedule. Requires clean() && compatible(machine, jobs).
+  /// The bound of `jobs` at their live payload, with the recorded
+  /// diagnostics. Requires clean() && compatible(machine, jobs).
   Result evaluate(const topo::Machine& machine,
                   const std::vector<JobBinding>& jobs) const;
 
@@ -214,71 +237,11 @@ class BoundStructure {
   std::unique_ptr<Impl> impl_;
 };
 
-/// 64-bit structural key of (machine fingerprint, jobs): the BoundCache
-/// index. Collisions are survivable — the cache re-checks
-/// BoundStructure::compatible before reusing an entry — so the hash only
-/// routes lookups, it never vouches for equality.
+/// 64-bit structural key of (machine fingerprint, jobs), hashed a word at a
+/// time; each distinct (schedule, exec) pair is hashed once per call. It
+/// only routes lookups — collisions are survivable because callers re-check
+/// BoundStructure::compatible before reusing an entry.
 std::uint64_t structure_key(const topo::Machine& machine,
                             const std::vector<JobBinding>& jobs);
-
-/// Thread-safe LRU memoization of BoundStructure (the PlanCache idiom):
-/// one full route-resolution + recording pass per distinct binding
-/// structure, then a cheap evaluate() per payload point. A tune query over
-/// a payload grid computes each candidate class's structure once and
-/// evaluates it across every byte size. Only clean structures are cached;
-/// a key whose stored structure fails the exact compatibility check (hash
-/// collision) is rebuilt and replaced, counted as a miss.
-class BoundCache {
- public:
-  struct Stats {
-    std::uint64_t hits = 0;    ///< served by a cached structure's evaluate().
-    std::uint64_t misses = 0;  ///< full analyses (build or unclean fallback).
-    std::uint64_t evictions = 0;  ///< entries dropped by the LRU bound.
-    std::size_t entries = 0;
-    double hit_rate() const {
-      const std::uint64_t total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) /
-                                    static_cast<double>(total);
-    }
-  };
-
-  /// Default capacity bounds the cache to kDefaultCapacity structures
-  /// (LRU); 0 = unbounded.
-  static constexpr std::size_t kDefaultCapacity = 512;
-  explicit BoundCache(std::size_t capacity = kDefaultCapacity)
-      : capacity_(capacity) {}
-
-  /// Equivalent to analyze_jobs(machine, jobs, {load_report = false,
-  /// lower_bound = true}) — bit-identical Result, served from a cached
-  /// structure when one matches. `structure_reused` (optional) reports
-  /// whether this call skipped the full route-resolution pass.
-  Result analyze(const topo::Machine& machine,
-                 const std::vector<JobBinding>& jobs,
-                 bool* structure_reused = nullptr);
-
-  Stats stats() const;
-  /// Drop every entry and reset the counters.
-  void clear();
-  /// Change the LRU bound; 0 = unbounded. Shrinking evicts oldest first.
-  void set_capacity(std::size_t capacity);
-  std::size_t capacity() const;
-
- private:
-  struct Entry {
-    std::shared_ptr<const BoundStructure> structure;
-    std::list<std::uint64_t>::iterator recency;
-  };
-
-  /// Precondition: mutex_ held.
-  void enforce_capacity_locked();
-
-  mutable std::mutex mutex_;
-  std::size_t capacity_ = kDefaultCapacity;
-  std::unordered_map<std::uint64_t, Entry> map_;
-  std::list<std::uint64_t> lru_;  ///< keys, most recently used first.
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
-};
 
 }  // namespace mr::verify::binding

@@ -43,6 +43,67 @@ PlanExec derive_exec(const Schedule& schedule) {
   }
   exec.msg_bytes.reserve(schedule.messages.size());
   for (const MsgInfo& m : schedule.messages) exec.msg_bytes.push_back(m.bytes());
+
+  // Locate each message's send and receive round, once per plan.
+  const auto nmsgs = static_cast<std::int64_t>(schedule.messages.size());
+  exec.msg_send_round.assign(schedule.messages.size(), -1);
+  exec.msg_recv_round.assign(schedule.messages.size(), -1);
+  const auto locate = [&](const std::vector<std::int32_t>& ops,
+                          const std::vector<std::int64_t>& begin,
+                          std::vector<std::int64_t>& round_of) {
+    for (std::size_t gi = 0; gi < total_rounds; ++gi) {
+      for (auto k = static_cast<std::size_t>(begin[gi]);
+           k < static_cast<std::size_t>(begin[gi + 1]); ++k) {
+        const std::int32_t m = ops[k];
+        if (m < 0 || m >= nmsgs || round_of[static_cast<std::size_t>(m)] >= 0) {
+          ++exec.malformed_ops;
+        } else {
+          round_of[static_cast<std::size_t>(m)] = static_cast<std::int64_t>(gi);
+        }
+      }
+    }
+  };
+  locate(exec.send_msg, exec.send_begin, exec.msg_send_round);
+  locate(exec.recv_msg, exec.recv_begin, exec.msg_recv_round);
+  if (exec.malformed_ops > 0) return exec;
+
+  // Kahn's algorithm over one repetition's READY/FINISH events. A FINISH
+  // waits for its own READY plus one READY per received message; an
+  // unsent message's receiver never becomes ready, leaving the order short.
+  std::vector<std::int32_t> pend(total_rounds);
+  std::vector<bool> last_of_rank(total_rounds, false);
+  std::vector<std::int64_t> stack;
+  for (std::size_t r = 0; r < nranks; ++r) {
+    const auto first = static_cast<std::size_t>(exec.rank_rounds_begin[r]);
+    const auto end = static_cast<std::size_t>(exec.rank_rounds_begin[r + 1]);
+    if (first == end) continue;
+    last_of_rank[end - 1] = true;
+    stack.push_back(2 * static_cast<std::int64_t>(first));
+  }
+  for (std::size_t gi = 0; gi < total_rounds; ++gi) {
+    pend[gi] = 1 + static_cast<std::int32_t>(exec.recv_begin[gi + 1] -
+                                             exec.recv_begin[gi]);
+  }
+  exec.visit_order.reserve(2 * total_rounds);
+  while (!stack.empty()) {
+    const std::int64_t event = stack.back();
+    stack.pop_back();
+    exec.visit_order.push_back(event);
+    const auto gi = static_cast<std::size_t>(event / 2);
+    if (event % 2 == 1) {
+      if (!last_of_rank[gi]) stack.push_back(event + 1);  // READY(gi + 1).
+      continue;
+    }
+    for (auto k = static_cast<std::size_t>(exec.send_begin[gi]);
+         k < static_cast<std::size_t>(exec.send_begin[gi + 1]); ++k) {
+      const std::int64_t dst = exec.msg_recv_round[static_cast<std::size_t>(
+          exec.send_msg[k])];
+      if (dst >= 0 && --pend[static_cast<std::size_t>(dst)] == 0) {
+        stack.push_back(2 * dst + 1);
+      }
+    }
+    if (--pend[gi] == 0) stack.push_back(event + 1);
+  }
   return exec;
 }
 

@@ -81,17 +81,9 @@ std::string to_string(const TuneReport& report) {
        << "x saving";
   }
   os << ")\n";
-  if (s.bound_structures_built + s.bound_structure_reuses > 0) {
-    os << "  bound cache: " << s.bound_structures_built << " structures built, "
-       << s.bound_structure_reuses << " reused";
-    if (s.bound_structures_built > 0) {
-      os << " (" << std::setprecision(3)
-         << static_cast<double>(s.bound_structures_built +
-                                s.bound_structure_reuses) /
-                static_cast<double>(s.bound_structures_built)
-         << "x fewer full analyses)";
-    }
-    os << ", stage 2 " << std::setprecision(4) << s.bound_seconds << " s\n";
+  if (s.bounds_computed > 0) {
+    os << "  stage 2: " << s.bounds_computed << " candidate bounds in "
+       << std::setprecision(4) << s.bound_seconds << " s\n";
   }
   if (s.seeded_candidates > 0) {
     os << "  seeded: " << s.seeded_candidates
@@ -146,9 +138,6 @@ void write_json(std::ostream& os, const TuneReport& report, bool candidates) {
   os << "    \"sim_points\": " << s.sim_points << ",\n";
   os << "    \"exhaustive_points\": " << s.exhaustive_points << ",\n";
   os << "    \"budget_skipped\": " << s.budget_skipped << ",\n";
-  // bound_structures_built / bound_structure_reuses are deliberately NOT
-  // here: they depend on BoundCache warmth across runs sharing an engine,
-  // and the canonical document must be byte-identical for identical work.
   os << "    \"seeded_candidates\": " << s.seeded_candidates << ",\n";
   os << "    \"hash_collisions\": " << s.classify.hash_collisions << ",\n";
   os << "    \"exhausted\": " << jbool(s.exhausted) << "\n";

@@ -57,6 +57,18 @@ void fan_out(Engine& engine, std::size_t n, unsigned workers, const Fn& fn) {
   }
 }
 
+/// fan_out whose body also receives a stable slot id in [0, workers) for
+/// indexing call-scoped scratch (the caller is slot 0 on the serial path).
+template <typename Fn>
+void fan_out_slots(Engine& engine, std::size_t n, unsigned workers,
+                   const Fn& fn) {
+  if (workers <= 1 || n <= 1) {
+    for (std::size_t i = 0; i < n; ++i) fn(0u, i);
+  } else {
+    engine.thread_pool().parallel_for_slots(n, fn, workers);
+  }
+}
+
 harness::MicrobenchConfig point_config(const TuneQuery& query,
                                        const QueryPoint& point,
                                        const Order& order) {
@@ -192,54 +204,36 @@ std::vector<TuneCandidate> dedup_candidates(Engine& engine, const Hierarchy& h,
 
 // ---- Stages 2+3 helpers -----------------------------------------------------
 
-/// One candidate's stage-2 outcome: the admissible bound plus the
-/// full-analysis vs structure-reuse accounting behind it.
-struct BoundOutcome {
-  double bound = 0;
-  std::int64_t built = 0;   ///< full route-resolution + DP passes.
-  std::int64_t reused = 0;  ///< BoundCache evaluate()s of a cached structure.
-};
-
 /// Stage-2 admissible bound of one candidate: per-point static lower bounds
 /// (deflated for the simulated slack), summed — a lower bound on the
-/// candidate's score because the score is the sum of point makespans. With
-/// the bound cache on, the payload-invariant structure is resolved once per
-/// binding class and evaluated per payload point — the Results (and hence
-/// the bounds and the funnel's ranking) are bit-identical either way.
-BoundOutcome candidate_bound(Engine& engine, const topo::Machine& machine,
-                             const TuneQuery& query,
-                             const std::vector<QueryPoint>& points,
-                             const Order& order) {
-  verify::binding::Options options;
-  options.load_report = false;
-  options.lower_bound = true;
-  BoundOutcome out;
+/// candidate's score because the score is the sum of point makespans. The
+/// caller's pool slot owns `workspace` for the whole stage, so routes are
+/// derived once per core pair per query and the kernel reuses its buffers.
+double candidate_bound(Engine& engine, verify::binding::Workspace& workspace,
+                       const TuneQuery& query,
+                       const std::vector<QueryPoint>& points,
+                       const Order& order) {
+  const topo::Machine& machine = workspace.machine();
+  double bound = 0;
+  std::vector<verify::binding::JobBinding> bindings;
   for (const QueryPoint& point : points) {
     const auto jobs = harness::protocol_jobs(
         engine, machine, point_config(query, point, order));
-    std::vector<verify::binding::JobBinding> bindings;
-    bindings.reserve(jobs.size());
+    bindings.clear();
     for (const auto& job : jobs) {
       bindings.push_back({&job.plan->schedule, &job.plan->exec,
                           job.plan->repetitions, &job.core_of_rank,
                           job.start_time});
     }
-    verify::binding::Result result;
-    if (query.use_bound_cache) {
-      bool reused = false;
-      result = engine.bound_cache().analyze(machine, bindings, &reused);
-      ++(reused ? out.reused : out.built);
-    } else {
-      result = verify::binding::analyze_jobs(machine, bindings, options);
-      ++out.built;
-    }
+    const verify::binding::Result result =
+        verify::binding::analyze_jobs(workspace, bindings);
     // A diagnostic here would mean the tuner built an invalid binding; a
     // zero bound keeps the candidate simulable instead of mis-pruning it.
     if (result.clean()) {
-      out.bound += result.bound.for_slack(query.completion_slack);
+      bound += result.bound.for_slack(query.completion_slack);
     }
   }
-  return out;
+  return bound;
 }
 
 /// Stage-3 full-fidelity evaluation of one candidate. The workspace is
@@ -445,16 +439,19 @@ TuneReport tune(Engine& engine, const topo::Machine& machine,
   // branch-and-bound visit order (bound ascending, packed-first tie-break).
   if (query.prune) {
     const auto bound_start = std::chrono::steady_clock::now();
-    std::vector<BoundOutcome> outcomes(active.size());
-    fan_out(engine, active.size(), workers, [&](std::size_t i) {
-      outcomes[i] = candidate_bound(engine, machine, query, report.points,
-                                    candidates[active[i]].order);
-    });
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      candidates[active[i]].lower_bound = outcomes[i].bound;
-      stats.bound_structures_built += outcomes[i].built;
-      stats.bound_structure_reuses += outcomes[i].reused;
+    // One bound workspace per pool slot, owned by this call (the per-slot
+    // scratch idiom of classify_orders).
+    std::vector<verify::binding::Workspace> workspaces;
+    workspaces.reserve(workers);
+    for (unsigned slot = 0; slot < workers; ++slot) {
+      workspaces.emplace_back(machine);
     }
+    fan_out_slots(engine, active.size(), workers,
+                  [&](unsigned slot, std::size_t i) {
+      TuneCandidate& c = candidates[active[i]];
+      c.lower_bound = candidate_bound(engine, workspaces[slot], query,
+                                      report.points, c.order);
+    });
     stats.bounds_computed = static_cast<std::int64_t>(active.size());
     stats.bound_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -

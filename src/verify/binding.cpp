@@ -1,8 +1,10 @@
 #include "mixradix/verify/binding.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <limits>
 #include <sstream>
 #include <type_traits>
@@ -20,12 +22,15 @@ namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
 /// Diagnostic accumulator that prefixes "job k:" when several jobs are
-/// analyzed, mirroring the run_timed job indexing.
+/// analyzed, mirroring the run_timed job indexing. A quiet sink (null
+/// report) formats nothing and only records that a finding occurred: the
+/// workspace fast path uses one and re-runs the full analysis for text.
 class Sink {
  public:
-  Sink(Report& report, bool multi_job) : report_(report), multi_(multi_job) {}
+  Sink(Report* report, bool multi_job) : report_(report), multi_(multi_job) {}
 
   void job(int j) { job_ = j; }
+  bool flagged() const { return flagged_; }
 
   template <typename... Parts>
   void error(std::int32_t rank, int round, std::int32_t msg, Parts&&... parts) {
@@ -40,31 +45,23 @@ class Sink {
   template <typename... Parts>
   void add(Severity severity, std::int32_t rank, int round, std::int32_t msg,
            Parts&&... parts) {
+    flagged_ = true;
+    if (report_ == nullptr) {
+      return;
+    }
     std::ostringstream os;
     if (multi_ && job_ >= 0) {
       os << "job " << job_ << ": ";
     }
     (os << ... << parts);
-    report_.diagnostics.push_back(
+    report_->diagnostics.push_back(
         {severity, Check::Binding, rank, round, msg, os.str()});
   }
 
-  Report& report_;
+  Report* report_ = nullptr;
   bool multi_ = false;
   int job_ = 0;
-};
-
-/// Per-message derived facts, for one repetition of one job (routes and
-/// round placement are repetition-invariant).
-struct MsgFacts {
-  std::int64_t send_gi = -1;  ///< flattened CSR round index of the send.
-  std::int64_t recv_gi = -1;
-  double latency = 0;         ///< machine.path_latency(src core, dst core).
-  double cap_min = kInf;      ///< bottleneck capacity along the route; inf = self.
-  double transfer_floor = 0;  ///< latency + bytes / cap_min.
-  bool eager = false;
-  bool crosses_network = false;  ///< route non-empty.
-  std::int32_t route = -1;       ///< RouteCache id.
+  bool flagged_ = false;
 };
 
 /// Facts about one (src_core, dst_core) route, derived once per distinct
@@ -80,8 +77,8 @@ struct RouteFacts {
   bool too_deep = false;  ///< route exceeds kMaxChannelsPerFlow.
 };
 
-/// Routes depend only on the machine, so one cache serves every job of an
-/// analysis (and every message of an alltoall round trades its
+/// Routes depend only on the machine, so one cache serves every analysis
+/// a Workspace runs (and every message of an alltoall round trades its
 /// flow_channels() walk for a hash lookup). Derivation replays the
 /// flow_channels() contract — egress/ingress at every level from the first
 /// divergent one inward, plus each endpoint's memory controllers — from
@@ -126,9 +123,6 @@ class RouteCache {
   const RouteFacts& facts(std::int32_t id) const {
     return routes_[static_cast<std::size_t>(id)];
   }
-
-  /// Every derived route, indexed by id (BoundStructure snapshots these).
-  const std::vector<RouteFacts>& all() const { return routes_; }
 
  private:
   struct MemLevel {
@@ -214,14 +208,6 @@ class RouteCache {
   std::vector<RouteFacts> routes_;
 };
 
-/// Per-job derived state shared by the load report and the bound.
-struct JobFacts {
-  std::vector<MsgFacts> msgs;         ///< indexed by message id (one rep).
-  std::vector<double> round_cpu;      ///< per flattened CSR round.
-  std::int64_t node_base = 0;         ///< first DP node of this job.
-  std::vector<std::int64_t> rank_node_base;  ///< per rank, relative to job.
-};
-
 double round_cpu_time(const simmpi::PlanExec& exec,
                       const topo::MessagingCosts& costs, std::int64_t round) {
   const auto i = static_cast<std::size_t>(round);
@@ -235,10 +221,57 @@ double round_cpu_time(const simmpi::PlanExec& exec,
   return cpu;
 }
 
-/// Validate one job's binding; returns false when later phases must not
-/// trust its indices. Fills `facts` (rounds/routes) only on success.
-bool check_job(const topo::Machine& machine, const JobBinding& job,
-               RouteCache& routes, Sink& sink, JobFacts& facts) {
+}  // namespace
+
+/// Everything an analysis allocates, kept across calls: the route memo
+/// (one derivation per core pair for the workspace's lifetime), channel
+/// capacities and every flat buffer of the checks and the kernel.
+struct Workspace::Impl {
+  explicit Impl(const topo::Machine& m) : machine(&m), routes(m) {}
+
+  const topo::Machine* machine;
+  RouteCache routes;
+  std::vector<double> capacities;  ///< simnet::channel_capacities, lazily.
+
+  // Check phase: route id per message, all jobs back to back; job j's
+  // messages start at msg_base[j].
+  std::vector<std::int32_t> msg_route;
+  std::vector<std::size_t> msg_base;
+  std::vector<std::int64_t> sorted_cores;  ///< duplicate-core scratch.
+
+  // Kernel, per plan: each round's CPU cost and its DP predecessor —
+  // gi - 1 inside a rank, or -1 - (the rank's last round) for a rank's
+  // first round (its predecessor is the previous repetition's last round).
+  std::vector<double> round_cpu;
+  std::vector<std::int64_t> round_link;
+  // Kernel, per job: transfer floor per message and the DP values of one
+  // repetition.
+  std::vector<double> floor;
+  std::vector<double> finish;
+  std::vector<double> inbound;
+  // Channel-serialization inputs over all jobs; only touched entries are
+  // ever non-default, and they are reset after each analysis.
+  std::vector<double> chan_entry;
+  std::vector<std::int64_t> chan_bytes;
+  std::vector<simnet::ChannelId> chan_touched;
+
+  void ensure_channels() {
+    if (capacities.empty()) {
+      capacities = simnet::channel_capacities(*machine);
+      chan_entry.assign(capacities.size(), kInf);
+      chan_bytes.assign(capacities.size(), 0);
+    }
+  }
+};
+
+namespace {
+
+/// Validate one job's binding and resolve its messages' routes into
+/// w.msg_route; returns false when later phases must not trust its
+/// indices. The plan's own CSR checks (message rounds, malformed ops) were
+/// made once by simmpi::derive_exec; only their verdicts are read here.
+bool check_job(Workspace::Impl& w, const JobBinding& job, Sink& sink) {
+  const topo::Machine& machine = *w.machine;
   if (job.schedule == nullptr || job.exec == nullptr ||
       job.core_of_rank == nullptr) {
     sink.error(-1, -1, -1, "job is missing its ",
@@ -281,10 +314,11 @@ bool check_job(const topo::Machine& machine, const JobBinding& job,
   {
     // Two ranks sharing a core is legal (latency-only self routes) but is
     // almost always a mapping-generator bug worth surfacing.
-    std::vector<std::int64_t> sorted = cores;
-    std::sort(sorted.begin(), sorted.end());
-    const auto dup = std::adjacent_find(sorted.begin(), sorted.end());
-    if (dup != sorted.end()) {
+    w.sorted_cores.assign(cores.begin(), cores.end());
+    std::sort(w.sorted_cores.begin(), w.sorted_cores.end());
+    const auto dup =
+        std::adjacent_find(w.sorted_cores.begin(), w.sorted_cores.end());
+    if (dup != w.sorted_cores.end()) {
       sink.warn(-1, -1, -1, "two ranks share core ", *dup,
                 "; their traffic is modelled latency-only");
     }
@@ -299,6 +333,7 @@ bool check_job(const topo::Machine& machine, const JobBinding& job,
     return false;
   }
   if (exec.msg_bytes.size() != sched.messages.size() ||
+      exec.msg_send_round.size() != sched.messages.size() ||
       exec.rank_rounds_begin.size() !=
           static_cast<std::size_t>(sched.nranks) + 1) {
     sink.error(-1, -1, -1,
@@ -309,48 +344,36 @@ bool check_job(const topo::Machine& machine, const JobBinding& job,
                "different plan?");
     return false;
   }
-
-  // Locate every message's send/recv round in the CSR, then resolve and
-  // vet its route.
-  facts.msgs.assign(sched.messages.size(), {});
-  const std::int64_t total_rounds = exec.rank_rounds_begin.back();
-  for (std::int64_t gi = 0; gi < total_rounds; ++gi) {
-    const auto i = static_cast<std::size_t>(gi);
-    for (std::int64_t k = exec.send_begin[i]; k < exec.send_begin[i + 1];
-         ++k) {
-      facts.msgs[static_cast<std::size_t>(
-                     exec.send_msg[static_cast<std::size_t>(k)])]
-          .send_gi = gi;
-    }
-    for (std::int64_t k = exec.recv_begin[i]; k < exec.recv_begin[i + 1];
-         ++k) {
-      facts.msgs[static_cast<std::size_t>(
-                     exec.recv_msg[static_cast<std::size_t>(k)])]
-          .recv_gi = gi;
-    }
+  if (exec.malformed_ops > 0) {
+    sink.error(-1, -1, -1, "execution structure has ", exec.malformed_ops,
+               " ops naming a message outside [0, ", sched.messages.size(),
+               ") or sending/receiving a message twice");
+    return false;
   }
+
+  // Resolve and vet every message's route.
   for (std::size_t m = 0; m < sched.messages.size(); ++m) {
     const simmpi::MsgInfo& info = sched.messages[m];
-    MsgFacts& mf = facts.msgs[m];
     const auto msg_id = static_cast<std::int32_t>(m);
-    if (mf.send_gi < 0 || mf.recv_gi < 0) {
+    const std::int64_t send_gi = exec.msg_send_round[m];
+    const std::int64_t recv_gi = exec.msg_recv_round[m];
+    if (send_gi < 0 || recv_gi < 0) {
       sink.error(info.src, -1, msg_id, "message ", m,
-                 " is never ", mf.send_gi < 0 ? "sent" : "received",
+                 " is never ", send_gi < 0 ? "sent" : "received",
                  " in the execution structure");
       ok = false;
+      w.msg_route.push_back(-1);
       continue;
     }
     const int send_round = static_cast<int>(
-        mf.send_gi -
-        exec.rank_rounds_begin[static_cast<std::size_t>(info.src)]);
+        send_gi - exec.rank_rounds_begin[static_cast<std::size_t>(info.src)]);
     const std::int64_t core_src = cores[static_cast<std::size_t>(info.src)];
     const std::int64_t core_dst = cores[static_cast<std::size_t>(info.dst)];
-    mf.route = routes.route(core_src, core_dst);
-    const RouteFacts& rf = routes.facts(mf.route);
-    mf.latency = rf.latency;
-    mf.eager = info.bytes() <= machine.costs().eager_threshold;
-    mf.crosses_network = rf.raw_size > 0;
-    if (core_src == core_dst && mf.crosses_network) {
+    const std::int32_t route = w.routes.route(core_src, core_dst);
+    w.msg_route.push_back(route);
+    const RouteFacts& rf = w.routes.facts(route);
+    const bool crosses_network = rf.raw_size > 0;
+    if (core_src == core_dst && crosses_network) {
       sink.error(info.src, send_round, msg_id,
                  "self-message on core ", core_src, " crosses ",
                  rf.raw_size, " channels; self traffic must be "
@@ -358,7 +381,7 @@ bool check_job(const topo::Machine& machine, const JobBinding& job,
       ok = false;
       continue;
     }
-    if (core_src != core_dst && !mf.crosses_network) {
+    if (core_src != core_dst && !crosses_network) {
       sink.error(info.src, send_round, msg_id,
                  "message between distinct cores ", core_src, " and ",
                  core_dst, " resolved to an empty route");
@@ -375,26 +398,15 @@ bool check_job(const topo::Machine& machine, const JobBinding& job,
       ok = false;
       continue;
     }
-    mf.cap_min = rf.cap_min;
-    if (mf.cap_min <= 0) {
+    if (rf.cap_min <= 0) {
       sink.error(info.src, send_round, msg_id,
-                 "route bottleneck capacity is ", mf.cap_min,
+                 "route bottleneck capacity is ", rf.cap_min,
                  "; transfers would never complete");
       ok = false;
       continue;
     }
-    mf.transfer_floor =
-        mf.latency + static_cast<double>(info.bytes()) / mf.cap_min;
   }
-  if (!ok) {
-    return false;
-  }
-  facts.round_cpu.resize(static_cast<std::size_t>(total_rounds));
-  for (std::int64_t gi = 0; gi < total_rounds; ++gi) {
-    facts.round_cpu[static_cast<std::size_t>(gi)] =
-        round_cpu_time(exec, machine.costs(), gi);
-  }
-  return true;
+  return ok;
 }
 
 /// One (channel, round, bytes) contribution; bucketed by channel with a
@@ -406,12 +418,11 @@ struct ChannelTouch {
   std::int64_t bytes = 0;
 };
 
-void build_load_report(const topo::Machine& machine,
-                       const std::vector<JobBinding>& jobs,
-                       const std::vector<JobFacts>& facts,
-                       const std::vector<double>& capacities,
-                       const RouteCache& routes, int top_k,
-                       LoadReport& load) {
+void build_load_report(Workspace::Impl& w, const std::vector<JobBinding>& jobs,
+                       int top_k, LoadReport& load) {
+  const topo::Machine& machine = *w.machine;
+  w.ensure_channels();
+  const std::vector<double>& capacities = w.capacities;
   std::vector<ChannelTouch> touches;
   std::vector<double> round_straggler;  ///< slowest uncontended msg per round.
   // Per-channel totals over all jobs and repetitions, kept sparse via the
@@ -425,9 +436,9 @@ void build_load_report(const topo::Machine& machine,
     const simmpi::PlanExec& exec = *job.exec;
     const auto reps = static_cast<std::int64_t>(job.repetitions);
     for (std::size_t m = 0; m < sched.messages.size(); ++m) {
-      const MsgFacts& mf = facts[j].msgs[m];
+      const RouteFacts& rf = w.routes.facts(w.msg_route[w.msg_base[j] + m]);
       const std::int64_t bytes = sched.messages[m].bytes();
-      if (!mf.crosses_network) {
+      if (rf.raw_size == 0) {
         load.self_bytes += bytes * reps;
         continue;
       }
@@ -436,8 +447,9 @@ void build_load_report(const topo::Machine& machine,
       // Report rounds by the sender's local round index within one
       // repetition — the axis schedules are written along.
       const std::int64_t round =
-          mf.send_gi - exec.rank_rounds_begin[static_cast<std::size_t>(
-                           sched.messages[m].src)];
+          exec.msg_send_round[m] -
+          exec.rank_rounds_begin[static_cast<std::size_t>(
+              sched.messages[m].src)];
       if (round >= static_cast<std::int64_t>(load.rounds.size())) {
         load.rounds.resize(static_cast<std::size_t>(round) + 1);
         round_straggler.resize(static_cast<std::size_t>(round) + 1, 0.0);
@@ -447,8 +459,8 @@ void build_load_report(const topo::Machine& machine,
       rl.flows += 1;
       round_straggler[static_cast<std::size_t>(round)] =
           std::max(round_straggler[static_cast<std::size_t>(round)],
-                   static_cast<double>(bytes) / mf.cap_min);
-      const simnet::ChanSet& set = routes.facts(mf.route).channels;
+                   static_cast<double>(bytes) / rf.cap_min);
+      const simnet::ChanSet& set = rf.channels;
       for (std::int32_t k = 0; k < set.count; ++k) {
         const simnet::ChannelId c = set.ids[static_cast<std::size_t>(k)];
         if (chan_flows[static_cast<std::size_t>(c)] == 0) {
@@ -554,238 +566,214 @@ void build_load_report(const topo::Machine& machine,
   load.top_channels = std::move(ranked);
 }
 
-/// Critical-path DP over (job, rank, virtual round) nodes, plus the
-/// per-channel serialization bound.
+/// Per-plan kernel inputs: each round's CPU cost and DP predecessor link.
+void prepare_plan(Workspace::Impl& w, const simmpi::PlanExec& exec) {
+  const topo::MessagingCosts& costs = w.machine->costs();
+  const auto nrounds = static_cast<std::size_t>(exec.rank_rounds_begin.back());
+  w.round_cpu.resize(nrounds);
+  w.round_link.resize(nrounds);
+  for (std::size_t r = 0; r + 1 < exec.rank_rounds_begin.size(); ++r) {
+    const std::int64_t first = exec.rank_rounds_begin[r];
+    const std::int64_t end = exec.rank_rounds_begin[r + 1];
+    for (std::int64_t gi = first; gi < end; ++gi) {
+      w.round_link[static_cast<std::size_t>(gi)] =
+          gi == first ? -1 - (end - 1) : gi - 1;
+      w.round_cpu[static_cast<std::size_t>(gi)] =
+          round_cpu_time(exec, costs, gi);
+    }
+  }
+}
+
+/// The bound kernel: critical-path DP over (job, rank, virtual round)
+/// nodes, plus the per-channel serialization bound. Requires every job to
+/// have passed check_job (w.msg_route holds its routes).
 ///
 /// Each node splits into a READY event (previous round finished + this
 /// round's CPU cost) and a FINISH event (all posted ops complete). A
 /// message constrains the receiver's FINISH by the sender's READY — not
 /// its FINISH — which is what lets the ubiquitous same-round exchange
 /// (a<->b sendrecv) stay acyclic: posts are non-blocking, only the
-/// waitall orders rounds. FINISH events left unprocessed mean a genuine
-/// happens-before cycle: diagnosed, and the bound stays 0 (trivially
-/// sound).
-/// When `trace` is non-null, every popped worklist event is appended in
-/// processing order. The pop order is payload-invariant — pend counts and
-/// worklist pushes depend only on the CSR edges, never on message bytes —
-/// so BoundStructure::evaluate can replay the recorded sequence against a
-/// different payload and reproduce this DP's value operations exactly.
-void build_bound(const std::vector<JobBinding>& jobs,
-                 std::vector<JobFacts>& facts,
-                 const std::vector<double>& capacities,
-                 const RouteCache& routes, Sink& sink, Bound& bound,
-                 std::vector<std::int64_t>* trace = nullptr) {
-  // Node numbering: per job, per rank, virtual round vr in
-  // [0, rounds_of(rank) * repetitions).
-  std::int64_t nnodes = 0;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    facts[j].node_base = nnodes;
-    const simmpi::PlanExec& exec = *jobs[j].exec;
-    const std::int32_t nranks = jobs[j].schedule->nranks;
-    facts[j].rank_node_base.assign(static_cast<std::size_t>(nranks) + 1, 0);
-    for (std::int32_t r = 0; r < nranks; ++r) {
-      facts[j].rank_node_base[static_cast<std::size_t>(r) + 1] =
-          facts[j].rank_node_base[static_cast<std::size_t>(r)] +
-          exec.rounds_of(r) * jobs[j].repetitions;
-    }
-    nnodes += facts[j].rank_node_base[static_cast<std::size_t>(nranks)];
-  }
-
-  const auto n = static_cast<std::size_t>(nnodes);
-  std::vector<double> ready(n, 0.0);
-  std::vector<double> finish(n, 0.0);
-  // Max over constraints a node's FINISH must respect beyond its own
-  // READY: incoming message floors and its own rendezvous floors.
-  std::vector<double> inbound(n, 0.0);
-  // FINISH prerequisites outstanding: own READY plus one per incoming
-  // receive edge.
-  std::vector<std::int32_t> pend(n, 0);
-
-  const auto node_of = [&](std::size_t j, std::int32_t rank,
-                           std::int64_t vr) {
-    return facts[j].node_base +
-           facts[j].rank_node_base[static_cast<std::size_t>(rank)] + vr;
-  };
-
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const simmpi::PlanExec& exec = *jobs[j].exec;
-    const std::int32_t nranks = jobs[j].schedule->nranks;
-    for (std::int32_t r = 0; r < nranks; ++r) {
-      const std::int64_t rounds = exec.rounds_of(r);
-      for (std::int64_t vr = 0; vr < rounds * jobs[j].repetitions; ++vr) {
-        pend[static_cast<std::size_t>(node_of(j, r, vr))] = 1;
-      }
-    }
-    for (std::size_t m = 0; m < facts[j].msgs.size(); ++m) {
-      const MsgFacts& mf = facts[j].msgs[m];
-      const simmpi::MsgInfo& info = jobs[j].schedule->messages[m];
-      const std::int64_t recv_local =
-          mf.recv_gi -
-          exec.rank_rounds_begin[static_cast<std::size_t>(info.dst)];
-      const std::int64_t rounds = exec.rounds_of(info.dst);
-      for (int rep = 0; rep < jobs[j].repetitions; ++rep) {
-        pend[static_cast<std::size_t>(
-            node_of(j, info.dst, rep * rounds + recv_local))] += 1;
-      }
-    }
-  }
-
-  // Worklist events: 2 * node = READY computable, 2 * node + 1 = FINISH
-  // computable. READY of a rank's first virtual round is computable
-  // immediately; every later READY is triggered by the previous FINISH.
-  std::vector<std::int64_t> worklist;
-  worklist.reserve(n);
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    for (std::int32_t r = 0; r < jobs[j].schedule->nranks; ++r) {
-      if (jobs[j].exec->rounds_of(r) > 0) {
-        worklist.push_back(2 * node_of(j, r, 0));
-      }
-    }
-  }
-
-  std::size_t finished = 0;
+/// waitall orders rounds. Events are visited in the plan's
+/// PlanExec::visit_order, once per repetition, job by job; one repetition
+/// of DP values lives in flat per-round buffers (a round's inbound term is
+/// cleared when its FINISH consumes it). A short visit order means a
+/// genuine happens-before cycle: diagnosed, and the bound stays 0
+/// (trivially sound).
+void bound_kernel(Workspace::Impl& w, const std::vector<JobBinding>& jobs,
+                  Sink& sink, Bound& bound) {
+  w.ensure_channels();
+  const std::int64_t eager_threshold = w.machine->costs().eager_threshold;
+  const simmpi::PlanExec* prepared = nullptr;
+  bool acyclic = true;
   double cp = 0.0;
-  // Channel bound inputs, collected as sender READY events fire; flat
-  // arrays + a touched list keep the hot loop hash-free.
-  std::vector<double> chan_entry(capacities.size(), kInf);
-  std::vector<std::int64_t> chan_bytes(capacities.size(), 0);
-  std::vector<simnet::ChannelId> chan_touched;
-
-  while (!worklist.empty()) {
-    const std::int64_t event = worklist.back();
-    worklist.pop_back();
-    if (trace != nullptr) {
-      trace->push_back(event);
-    }
-    const std::int64_t node = event / 2;
-    // Locate the node from the stored bases.
-    std::size_t j = 0;
-    while (j + 1 < jobs.size() && facts[j + 1].node_base <= node) {
-      ++j;
-    }
-    const std::int64_t local = node - facts[j].node_base;
-    const auto& rbase = facts[j].rank_node_base;
-    const auto rit = std::upper_bound(rbase.begin(), rbase.end(), local);
-    const auto rank =
-        static_cast<std::int32_t>(std::distance(rbase.begin(), rit)) - 1;
-    const std::int64_t vr = local - rbase[static_cast<std::size_t>(rank)];
-    const simmpi::PlanExec& exec = *jobs[j].exec;
-    const std::int64_t rounds = exec.rounds_of(rank);
-    const std::int64_t gi =
-        exec.rank_rounds_begin[static_cast<std::size_t>(rank)] + vr % rounds;
-    const auto ni = static_cast<std::size_t>(node);
-    const auto i = static_cast<std::size_t>(gi);
-
-    if (event % 2 == 1) {
-      // FINISH: all prerequisites delivered. NOT clamped to this round's
-      // own ready: the engine completes an in-flight receive at transfer
-      // time without waiting out the receiver's CPU serialisation, so a
-      // recv-only round can finish before its own ready. The ready term
-      // was merged into `inbound` at READY time exactly when the engine
-      // guarantees it (eager sends complete at ready; op-less rounds
-      // advance at ready).
-      const double post = vr == 0 ? jobs[j].start_time
-                                  : finish[static_cast<std::size_t>(node - 1)];
-      finish[ni] = std::max(post, inbound[ni]);
-      ++finished;
-      if (vr == rounds * jobs[j].repetitions - 1) {
-        cp = std::max(cp, finish[ni]);
-      } else {
-        worklist.push_back(2 * (node + 1));
-      }
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    const JobBinding& job = jobs[j];
+    const simmpi::PlanExec& exec = *job.exec;
+    const std::int64_t nrounds = exec.rank_rounds_begin.back();
+    const std::vector<std::int64_t>& order = exec.visit_order;
+    if (static_cast<std::int64_t>(order.size()) != 2 * nrounds) {
+      const auto finished = std::count_if(
+          order.begin(), order.end(), [](std::int64_t e) { return e % 2; });
+      sink.job(static_cast<int>(j));
+      sink.error(-1, -1, -1,
+                 "happens-before graph has a cycle through ",
+                 nrounds - finished, " of ", nrounds,
+                 " rounds; the schedule deadlocks on this binding and no "
+                 "finite lower bound exists");
+      acyclic = false;
       continue;
     }
+    if (&exec != prepared) {
+      prepare_plan(w, exec);
+      prepared = &exec;
+    }
+    const std::size_t nmsgs = exec.msg_bytes.size();
+    const std::int32_t* route = w.msg_route.data() + w.msg_base[j];
+    w.floor.resize(nmsgs);
+    for (std::size_t m = 0; m < nmsgs; ++m) {
+      const RouteFacts& rf = w.routes.facts(route[m]);
+      w.floor[m] =
+          rf.latency + static_cast<double>(exec.msg_bytes[m]) / rf.cap_min;
+    }
+    w.finish.resize(static_cast<std::size_t>(nrounds));
+    w.inbound.assign(static_cast<std::size_t>(nrounds), 0.0);
+    double* finish = w.finish.data();
+    double* inbound = w.inbound.data();
+    const double* floor = w.floor.data();
+    const std::int64_t* link = w.round_link.data();
+    const std::int64_t reps = job.repetitions;
 
-    // READY: the previous round's FINISH (or the job start) is known.
-    ready[ni] = (vr == 0 ? jobs[j].start_time
-                         : finish[static_cast<std::size_t>(node - 1)]) +
-                facts[j].round_cpu[i];
-    bool has_eager_send = false;
-    for (std::int64_t k = exec.send_begin[i]; k < exec.send_begin[i + 1];
-         ++k) {
-      const auto m = static_cast<std::size_t>(
-          exec.send_msg[static_cast<std::size_t>(k)]);
-      const MsgFacts& mf = facts[j].msgs[m];
-      const simmpi::MsgInfo& info = jobs[j].schedule->messages[m];
-      // The receiver's FINISH of the same repetition waits at least the
-      // transfer floor past this READY.
-      const std::int64_t recv_local =
-          mf.recv_gi -
-          exec.rank_rounds_begin[static_cast<std::size_t>(info.dst)];
-      const std::int64_t rv =
-          vr / rounds * exec.rounds_of(info.dst) + recv_local;
-      const std::int64_t recv_node = node_of(j, info.dst, rv);
-      const auto ri = static_cast<std::size_t>(recv_node);
-      inbound[ri] = std::max(inbound[ri], ready[ni] + mf.transfer_floor);
-      if (--pend[ri] == 0) {
-        worklist.push_back(2 * recv_node + 1);
-      }
-      if (mf.eager) {
-        has_eager_send = true;
-      } else {
-        // Rendezvous sends complete no earlier than their own transfer
-        // floor (the receiver-ready term is dropped to keep the DP
-        // acyclic — still a valid lower bound).
-        inbound[ni] = std::max(inbound[ni], ready[ni] + mf.transfer_floor);
-      }
-      if (mf.crosses_network && vr / rounds == 0) {
-        // ready is non-decreasing across repetitions, so repetition 0
-        // holds each channel's earliest possible entry.
-        const double entry = ready[ni] + mf.latency;
-        const simnet::ChanSet& set = routes.facts(mf.route).channels;
-        for (std::int32_t s = 0; s < set.count; ++s) {
-          const auto c = static_cast<std::size_t>(
-              set.ids[static_cast<std::size_t>(s)]);
-          if (chan_bytes[c] == 0) {
-            chan_touched.push_back(set.ids[static_cast<std::size_t>(s)]);
+    for (std::int64_t rep = 0; rep < reps; ++rep) {
+      for (const std::int64_t event : order) {
+        const auto gi = static_cast<std::size_t>(event / 2);
+        const std::int64_t prev = link[gi];
+        const double post = prev >= 0 ? finish[prev]
+                            : rep == 0 ? job.start_time
+                                       : finish[-1 - prev];
+        if (event % 2 == 1) {
+          // FINISH: all prerequisites delivered. NOT clamped to this
+          // round's own ready: the engine completes an in-flight receive
+          // at transfer time without waiting out the receiver's CPU
+          // serialisation, so a recv-only round can finish before its own
+          // ready. The ready term was merged into `inbound` at READY time
+          // exactly when the engine guarantees it (eager sends complete at
+          // ready; op-less rounds advance at ready).
+          finish[gi] = std::max(post, inbound[gi]);
+          inbound[gi] = 0.0;
+          const bool last_round =
+              gi + 1 == static_cast<std::size_t>(nrounds) || link[gi + 1] < 0;
+          if (last_round && rep == reps - 1) {
+            cp = std::max(cp, finish[gi]);
           }
-          chan_entry[c] = std::min(chan_entry[c], entry);
-          chan_bytes[c] += info.bytes() * jobs[j].repetitions;
+          continue;
+        }
+
+        // READY: the previous round's FINISH (or the job start) is known.
+        const double ready = post + w.round_cpu[gi];
+        bool has_eager_send = false;
+        for (std::int64_t k = exec.send_begin[gi]; k < exec.send_begin[gi + 1];
+             ++k) {
+          const auto m = static_cast<std::size_t>(
+              exec.send_msg[static_cast<std::size_t>(k)]);
+          // The receiver's FINISH of the same repetition waits at least
+          // the transfer floor past this READY.
+          const double arrival = ready + floor[m];
+          const auto ri = static_cast<std::size_t>(exec.msg_recv_round[m]);
+          inbound[ri] = std::max(inbound[ri], arrival);
+          if (exec.msg_bytes[m] <= eager_threshold) {
+            has_eager_send = true;
+          } else {
+            // Rendezvous sends complete no earlier than their own transfer
+            // floor (the receiver-ready term is dropped to keep the DP
+            // acyclic — still a valid lower bound).
+            inbound[gi] = std::max(inbound[gi], arrival);
+          }
+          const RouteFacts& rf = w.routes.facts(route[m]);
+          if (rep == 0 && rf.raw_size > 0) {
+            // ready is non-decreasing across repetitions, so repetition 0
+            // holds each channel's earliest possible entry.
+            const double entry = ready + rf.latency;
+            for (std::int32_t s = 0; s < rf.channels.count; ++s) {
+              const simnet::ChannelId id =
+                  rf.channels.ids[static_cast<std::size_t>(s)];
+              const auto c = static_cast<std::size_t>(id);
+              if (w.chan_bytes[c] == 0) {
+                w.chan_touched.push_back(id);
+              }
+              w.chan_entry[c] = std::min(w.chan_entry[c], entry);
+              w.chan_bytes[c] += exec.msg_bytes[m] * reps;
+            }
+          }
+        }
+        for (std::int64_t k = exec.recv_begin[gi]; k < exec.recv_begin[gi + 1];
+             ++k) {
+          const auto m = static_cast<std::size_t>(
+              exec.recv_msg[static_cast<std::size_t>(k)]);
+          if (exec.msg_bytes[m] > eager_threshold) {
+            // Rendezvous transfers start only after the receiver posts.
+            inbound[gi] = std::max(inbound[gi], ready + floor[m]);
+          }
+        }
+        // The engine only guarantees finish >= ready when an eager send
+        // completes at ready, or when the round has no network ops and
+        // advances at ready. A recv-only round's in-flight receives
+        // complete at raw transfer time, possibly before its own ready.
+        const bool has_sends = exec.send_begin[gi + 1] > exec.send_begin[gi];
+        const bool has_recvs = exec.recv_begin[gi + 1] > exec.recv_begin[gi];
+        if (has_eager_send || (!has_sends && !has_recvs)) {
+          inbound[gi] = std::max(inbound[gi], ready);
         }
       }
     }
-    for (std::int64_t k = exec.recv_begin[i]; k < exec.recv_begin[i + 1];
-         ++k) {
-      const auto m = static_cast<std::size_t>(
-          exec.recv_msg[static_cast<std::size_t>(k)]);
-      const MsgFacts& mf = facts[j].msgs[m];
-      if (!mf.eager) {
-        // Rendezvous transfers start only after the receiver posts.
-        inbound[ni] = std::max(inbound[ni], ready[ni] + mf.transfer_floor);
-      }
-    }
-    // The engine only guarantees finish >= ready when an eager send
-    // completes at ready, or when the round has no network ops and
-    // advances at ready. A recv-only round's in-flight receives complete
-    // at raw transfer time, possibly before the receiver's own ready.
-    const bool has_sends = exec.send_begin[i + 1] > exec.send_begin[i];
-    const bool has_recvs = exec.recv_begin[i + 1] > exec.recv_begin[i];
-    if (has_eager_send || (!has_sends && !has_recvs)) {
-      inbound[ni] = std::max(inbound[ni], ready[ni]);
-    }
-    if (--pend[ni] == 0) {
-      worklist.push_back(2 * node + 1);
-    }
   }
-
-  if (finished != n) {
-    sink.error(-1, -1, -1,
-               "happens-before graph has a cycle through ", n - finished,
-               " of ", n, " rounds; the schedule deadlocks on this binding "
-               "and no finite lower bound exists");
-    return;
-  }
+  sink.job(-1);
 
   double agg = 0.0;
-  for (const simnet::ChannelId id : chan_touched) {
+  for (const simnet::ChannelId id : w.chan_touched) {
     const auto c = static_cast<std::size_t>(id);
-    agg = std::max(agg, chan_entry[c] + static_cast<double>(chan_bytes[c]) /
-                                            capacities[c]);
+    agg = std::max(agg, w.chan_entry[c] + static_cast<double>(w.chan_bytes[c]) /
+                                              w.capacities[c]);
   }
-
+  // A zero-byte channel is listed once per touch, so reset only after the
+  // whole list has been read.
+  for (const simnet::ChannelId id : w.chan_touched) {
+    w.chan_entry[static_cast<std::size_t>(id)] = kInf;
+    w.chan_bytes[static_cast<std::size_t>(id)] = 0;
+  }
+  w.chan_touched.clear();
+  if (!acyclic) {
+    return;
+  }
   bound.critical_path = cp;
   bound.channel_serialization = agg;
   bound.lower_bound = std::max(cp, agg);
+}
+
+/// The whole analysis of `jobs` in workspace `w`, diagnostics into `sink`.
+void analyze_into(Workspace::Impl& w, const std::vector<JobBinding>& jobs,
+                  const Options& options, Sink& sink, Result& result) {
+  result.machine = w.machine->name();
+  if (jobs.empty()) {
+    return;
+  }
+  w.msg_route.clear();
+  w.msg_base.assign(1, 0);
+  bool ok = true;
+  for (std::size_t j = 0; j < jobs.size(); ++j) {
+    sink.job(static_cast<int>(j));
+    ok = check_job(w, jobs[j], sink) && ok;
+    w.msg_base.push_back(w.msg_route.size());
+  }
+  if (!ok) {
+    return;
+  }
+  sink.job(-1);
+  if (options.load_report) {
+    build_load_report(w, jobs, options.top_k, result.load);
+  }
+  if (options.lower_bound) {
+    bound_kernel(w, jobs, sink, result.bound);
+  }
 }
 
 }  // namespace
@@ -847,36 +835,35 @@ std::string Result::to_string() const {
   return os.str();
 }
 
+Workspace::Workspace(const topo::Machine& machine)
+    : impl_(std::make_unique<Impl>(machine)) {}
+Workspace::~Workspace() = default;
+Workspace::Workspace(Workspace&&) noexcept = default;
+Workspace& Workspace::operator=(Workspace&&) noexcept = default;
+
+const topo::Machine& Workspace::machine() const { return *impl_->machine; }
+
 Result analyze_jobs(const topo::Machine& machine,
                     const std::vector<JobBinding>& jobs,
                     const Options& options) {
   Result result;
-  result.machine = machine.name();
-  Sink sink(result.report, jobs.size() > 1);
-  if (jobs.empty()) {
-    return result;
-  }
-  RouteCache routes(machine);
-  std::vector<JobFacts> facts(jobs.size());
-  bool ok = true;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    sink.job(static_cast<int>(j));
-    ok = check_job(machine, jobs[j], routes, sink, facts[j]) && ok;
-  }
-  if (!ok) {
-    return result;
-  }
-  sink.job(-1);
-  if (!options.load_report && !options.lower_bound) {
-    return result;  // preverify configuration: diagnostics only.
-  }
-  const std::vector<double> capacities = simnet::channel_capacities(machine);
-  if (options.load_report) {
-    build_load_report(machine, jobs, facts, capacities, routes, options.top_k,
-                      result.load);
-  }
-  if (options.lower_bound) {
-    build_bound(jobs, facts, capacities, routes, sink, result.bound);
+  Workspace::Impl workspace(machine);
+  Sink sink(&result.report, jobs.size() > 1);
+  analyze_into(workspace, jobs, options, sink, result);
+  return result;
+}
+
+Result analyze_jobs(Workspace& workspace, const std::vector<JobBinding>& jobs) {
+  Options options;
+  options.load_report = false;
+  Result result;
+  Sink quiet(nullptr, false);
+  analyze_into(*workspace.impl_, jobs, options, quiet, result);
+  if (quiet.flagged()) {
+    // Any finding: redo the analysis with located, formatted diagnostics.
+    result = Result{};
+    Sink sink(&result.report, jobs.size() > 1);
+    analyze_into(*workspace.impl_, jobs, options, sink, result);
   }
   return result;
 }
@@ -894,13 +881,10 @@ Result analyze(const simmpi::Plan& plan, const topo::Machine& machine,
 
 // ---- BoundStructure -------------------------------------------------------
 
-/// The frozen payload-invariant half of one analysis. Job structure is
-/// DEEP-COPIED (CSR arrays, endpoints, cores): JobBinding is non-owning and
-/// the plans behind a tune candidate can be evicted from the PlanCache
-/// between the build and a later evaluate, so pointers must never outlive
-/// the call that passed them in.
+/// A deep copy of the jobs' payload-invariant arrays (JobBinding is
+/// non-owning, and the plans behind it may be evicted from the PlanCache
+/// between build and a later compatible/evaluate).
 struct BoundStructure::Impl {
-  /// One job's structural snapshot plus the invariant message facts.
   struct JobStruct {
     std::int32_t nranks = 0;
     int repetitions = 1;
@@ -913,23 +897,13 @@ struct BoundStructure::Impl {
     std::vector<std::int64_t> recv_begin;
     std::vector<std::int32_t> send_msg;
     std::vector<std::int32_t> recv_msg;
-    /// Invariant per-message facts: send_gi/recv_gi, route id, latency,
-    /// cap_min, crosses_network. The eager/transfer_floor fields hold the
-    /// BUILD payload's values and are recomputed per evaluate.
-    std::vector<MsgFacts> msgs;
-    std::int64_t node_base = 0;
-    std::vector<std::int64_t> rank_node_base;
   };
 
-  std::string fingerprint;   ///< topo::machine_fingerprint at build time.
+  std::string fingerprint;  ///< topo::machine_fingerprint at build time.
   std::string machine_name;
-  Report report;             ///< payload-invariant diagnostics, verbatim.
+  Report report;  ///< payload-invariant diagnostics, verbatim.
   bool clean_ok = false;
-  std::vector<double> capacities;   ///< simnet::channel_capacities snapshot.
-  std::vector<RouteFacts> routes;   ///< by RouteCache id.
   std::vector<JobStruct> jobs;
-  std::vector<std::int64_t> trace;  ///< popped DP events, processing order.
-  std::int64_t nnodes = 0;
 };
 
 BoundStructure::BoundStructure() = default;
@@ -949,35 +923,14 @@ BoundStructure BoundStructure::build(const topo::Machine& machine,
   Impl& im = *s.impl_;
   im.fingerprint = topo::machine_fingerprint(machine);
   im.machine_name = machine.name();
-
-  // Mirror analyze_jobs(machine, jobs, {load_report=false}) exactly, with
-  // the DP trace recorded alongside.
-  fresh = Result{};
-  fresh.machine = machine.name();
-  Sink sink(fresh.report, jobs.size() > 1);
-  if (jobs.empty()) {
-    return s;
-  }
-  RouteCache routes(machine);
-  std::vector<JobFacts> facts(jobs.size());
-  bool ok = true;
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    sink.job(static_cast<int>(j));
-    ok = check_job(machine, jobs[j], routes, sink, facts[j]) && ok;
-  }
-  if (ok) {
-    sink.job(-1);
-    im.capacities = simnet::channel_capacities(machine);
-    build_bound(jobs, facts, im.capacities, routes, sink, fresh.bound,
-                &im.trace);
-  }
+  Options options;
+  options.load_report = false;
+  fresh = analyze_jobs(machine, jobs, options);
   im.report = fresh.report;
-  im.clean_ok = ok && fresh.report.clean();
+  im.clean_ok = !jobs.empty() && fresh.clean();
   if (!im.clean_ok) {
     return s;  // defective bindings are analyzed fresh every time.
   }
-
-  im.routes = routes.all();
   im.jobs.resize(jobs.size());
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const simmpi::Schedule& sched = *jobs[j].schedule;
@@ -998,11 +951,6 @@ BoundStructure BoundStructure::build(const topo::Machine& machine,
     js.recv_begin = exec.recv_begin;
     js.send_msg = exec.send_msg;
     js.recv_msg = exec.recv_msg;
-    js.msgs = std::move(facts[j].msgs);
-    js.node_base = facts[j].node_base;
-    js.rank_node_base = std::move(facts[j].rank_node_base);
-    im.nnodes = js.node_base +
-                js.rank_node_base[static_cast<std::size_t>(js.nranks)];
   }
   return s;
 }
@@ -1048,7 +996,7 @@ bool BoundStructure::compatible(const topo::Machine& machine,
         exec.recv_msg != js.recv_msg) {
       return false;
     }
-    // The payload-dependent arrays may hold any values, but evaluate()
+    // The payload-dependent arrays may hold any values, but the kernel
     // indexes them, so their extents must cover the structure.
     const std::int64_t total_rounds = exec.rank_rounds_begin.back();
     if (exec.msg_bytes.size() != sched.messages.size() ||
@@ -1064,146 +1012,10 @@ bool BoundStructure::compatible(const topo::Machine& machine,
 Result BoundStructure::evaluate(const topo::Machine& machine,
                                 const std::vector<JobBinding>& jobs) const {
   MR_EXPECT(clean(), "evaluate() requires a clean BoundStructure");
-  const Impl& im = *impl_;
-  Result result;
-  result.machine = im.machine_name;
-  result.report = im.report;  // payload-invariant, verbatim.
-  const topo::MessagingCosts& costs = machine.costs();
-
-  // Payload-dependent terms, recomputed with the exact expressions
-  // check_job uses so every double matches the fresh analysis bit for bit.
-  struct JobEval {
-    std::vector<double> floor;        ///< latency + bytes / cap_min.
-    std::vector<std::uint8_t> eager;  ///< bytes <= eager_threshold.
-    std::vector<double> round_cpu;
-  };
-  std::vector<JobEval> ev(jobs.size());
-  for (std::size_t j = 0; j < jobs.size(); ++j) {
-    const simmpi::Schedule& sched = *jobs[j].schedule;
-    const simmpi::PlanExec& exec = *jobs[j].exec;
-    const Impl::JobStruct& js = im.jobs[j];
-    const std::size_t nmsgs = sched.messages.size();
-    ev[j].floor.resize(nmsgs);
-    ev[j].eager.resize(nmsgs);
-    for (std::size_t m = 0; m < nmsgs; ++m) {
-      const std::int64_t bytes = sched.messages[m].bytes();
-      ev[j].eager[m] = bytes <= costs.eager_threshold ? 1 : 0;
-      ev[j].floor[m] =
-          js.msgs[m].latency + static_cast<double>(bytes) / js.msgs[m].cap_min;
-    }
-    const std::int64_t total_rounds = exec.rank_rounds_begin.back();
-    ev[j].round_cpu.resize(static_cast<std::size_t>(total_rounds));
-    for (std::int64_t gi = 0; gi < total_rounds; ++gi) {
-      ev[j].round_cpu[static_cast<std::size_t>(gi)] =
-          round_cpu_time(exec, costs, gi);
-    }
-  }
-
-  // Replay the recorded DP: identical event order, identical value
-  // operations, payload terms swapped in. No pend counts or worklist — the
-  // trace already encodes the schedule (and proves it acyclic).
-  const auto n = static_cast<std::size_t>(im.nnodes);
-  std::vector<double> ready(n, 0.0);
-  std::vector<double> finish(n, 0.0);
-  std::vector<double> inbound(n, 0.0);
-  double cp = 0.0;
-  std::vector<double> chan_entry(im.capacities.size(), kInf);
-  std::vector<std::int64_t> chan_bytes(im.capacities.size(), 0);
-  std::vector<simnet::ChannelId> chan_touched;
-
-  for (const std::int64_t event : im.trace) {
-    const std::int64_t node = event / 2;
-    std::size_t j = 0;
-    while (j + 1 < im.jobs.size() && im.jobs[j + 1].node_base <= node) {
-      ++j;
-    }
-    const Impl::JobStruct& js = im.jobs[j];
-    const std::int64_t local = node - js.node_base;
-    const auto& rbase = js.rank_node_base;
-    const auto rit = std::upper_bound(rbase.begin(), rbase.end(), local);
-    const auto rank =
-        static_cast<std::int32_t>(std::distance(rbase.begin(), rit)) - 1;
-    const std::int64_t vr = local - rbase[static_cast<std::size_t>(rank)];
-    const simmpi::PlanExec& exec = *jobs[j].exec;
-    const std::int64_t rounds = exec.rounds_of(rank);
-    const std::int64_t gi =
-        exec.rank_rounds_begin[static_cast<std::size_t>(rank)] + vr % rounds;
-    const auto ni = static_cast<std::size_t>(node);
-    const auto i = static_cast<std::size_t>(gi);
-
-    if (event % 2 == 1) {
-      const double post = vr == 0 ? js.start_time
-                                  : finish[static_cast<std::size_t>(node - 1)];
-      finish[ni] = std::max(post, inbound[ni]);
-      if (vr == rounds * js.repetitions - 1) {
-        cp = std::max(cp, finish[ni]);
-      }
-      continue;
-    }
-
-    ready[ni] = (vr == 0 ? js.start_time
-                         : finish[static_cast<std::size_t>(node - 1)]) +
-                ev[j].round_cpu[i];
-    bool has_eager_send = false;
-    for (std::int64_t k = exec.send_begin[i]; k < exec.send_begin[i + 1];
-         ++k) {
-      const auto m = static_cast<std::size_t>(
-          exec.send_msg[static_cast<std::size_t>(k)]);
-      const MsgFacts& mf = js.msgs[m];
-      const simmpi::MsgInfo& info = jobs[j].schedule->messages[m];
-      const std::int64_t recv_local =
-          mf.recv_gi -
-          exec.rank_rounds_begin[static_cast<std::size_t>(info.dst)];
-      const std::int64_t rv =
-          vr / rounds * exec.rounds_of(info.dst) + recv_local;
-      const std::int64_t recv_node =
-          js.node_base + rbase[static_cast<std::size_t>(info.dst)] + rv;
-      const auto ri = static_cast<std::size_t>(recv_node);
-      inbound[ri] = std::max(inbound[ri], ready[ni] + ev[j].floor[m]);
-      if (ev[j].eager[m] != 0) {
-        has_eager_send = true;
-      } else {
-        inbound[ni] = std::max(inbound[ni], ready[ni] + ev[j].floor[m]);
-      }
-      if (mf.crosses_network && vr / rounds == 0) {
-        const double entry = ready[ni] + mf.latency;
-        const simnet::ChanSet& set = im.routes[static_cast<std::size_t>(
-                                                   mf.route)].channels;
-        for (std::int32_t s = 0; s < set.count; ++s) {
-          const auto c = static_cast<std::size_t>(
-              set.ids[static_cast<std::size_t>(s)]);
-          if (chan_bytes[c] == 0) {
-            chan_touched.push_back(set.ids[static_cast<std::size_t>(s)]);
-          }
-          chan_entry[c] = std::min(chan_entry[c], entry);
-          chan_bytes[c] += info.bytes() * js.repetitions;
-        }
-      }
-    }
-    for (std::int64_t k = exec.recv_begin[i]; k < exec.recv_begin[i + 1];
-         ++k) {
-      const auto m = static_cast<std::size_t>(
-          exec.recv_msg[static_cast<std::size_t>(k)]);
-      if (ev[j].eager[m] == 0) {
-        inbound[ni] = std::max(inbound[ni], ready[ni] + ev[j].floor[m]);
-      }
-    }
-    const bool has_sends = exec.send_begin[i + 1] > exec.send_begin[i];
-    const bool has_recvs = exec.recv_begin[i + 1] > exec.recv_begin[i];
-    if (has_eager_send || (!has_sends && !has_recvs)) {
-      inbound[ni] = std::max(inbound[ni], ready[ni]);
-    }
-  }
-
-  double agg = 0.0;
-  for (const simnet::ChannelId id : chan_touched) {
-    const auto c = static_cast<std::size_t>(id);
-    agg = std::max(agg, chan_entry[c] + static_cast<double>(chan_bytes[c]) /
-                                            im.capacities[c]);
-  }
-  result.bound.critical_path = cp;
-  result.bound.channel_serialization = agg;
-  result.bound.lower_bound = std::max(cp, agg);
+  Workspace workspace(machine);
+  Result result = analyze_jobs(workspace, jobs);
+  result.machine = impl_->machine_name;
+  result.report = impl_->report;  // payload-invariant, verbatim.
   return result;
 }
 
@@ -1211,24 +1023,51 @@ Result BoundStructure::evaluate(const topo::Machine& machine,
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
+/// One word-at-a-time hash step (multiply-xorshift; not cryptographic).
+std::uint64_t mix(std::uint64_t h, std::uint64_t word) {
+  h = (h ^ word) * 0x9e3779b97f4a7c15ull;
+  return h ^ (h >> 29);
+}
 
-std::uint64_t fnv1a(std::uint64_t h, const void* data, std::size_t size) {
+std::uint64_t hash_bytes(std::uint64_t h, const void* data, std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    h = (h ^ bytes[i]) * kFnvPrime;
+  std::size_t i = 0;
+  for (; i + 8 <= size; i += 8) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes + i, 8);
+    h = mix(h, word);
   }
-  return h;
+  if (i < size) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, bytes + i, size - i);
+    h = mix(h, word);
+  }
+  // Fold in the length so adjacent arrays can't alias across boundaries.
+  return mix(h, static_cast<std::uint64_t>(size));
 }
 
 template <typename T>
-std::uint64_t fnv1a_vec(std::uint64_t h, const std::vector<T>& v) {
+std::uint64_t hash_vec(std::uint64_t h, const std::vector<T>& v) {
   static_assert(std::is_trivially_copyable_v<T>);
-  h = fnv1a(h, v.data(), v.size() * sizeof(T));
-  // Fold in the length so adjacent arrays can't alias across boundaries.
-  const auto size = static_cast<std::uint64_t>(v.size());
-  return fnv1a(h, &size, sizeof(size));
+  return hash_bytes(h, v.data(), v.size() * sizeof(T));
+}
+
+/// Hash of one plan's payload-invariant structure: message endpoints and
+/// the execution CSR.
+std::uint64_t plan_key(const simmpi::Schedule& sched,
+                       const simmpi::PlanExec& exec) {
+  std::uint64_t h = static_cast<std::uint64_t>(sched.nranks);
+  for (const simmpi::MsgInfo& info : sched.messages) {
+    h = mix(h, (static_cast<std::uint64_t>(static_cast<std::uint32_t>(
+                    info.src))
+                << 32) |
+                   static_cast<std::uint32_t>(info.dst));
+  }
+  h = hash_vec(h, exec.rank_rounds_begin);
+  h = hash_vec(h, exec.send_begin);
+  h = hash_vec(h, exec.recv_begin);
+  h = hash_vec(h, exec.send_msg);
+  return hash_vec(h, exec.recv_msg);
 }
 
 }  // namespace
@@ -1236,131 +1075,30 @@ std::uint64_t fnv1a_vec(std::uint64_t h, const std::vector<T>& v) {
 std::uint64_t structure_key(const topo::Machine& machine,
                             const std::vector<JobBinding>& jobs) {
   const std::string fp = topo::machine_fingerprint(machine);
-  std::uint64_t h = fnv1a(kFnvOffset, fp.data(), fp.size());
+  std::uint64_t h = hash_bytes(0x6d69787261646978ull, fp.data(), fp.size());
+  // Jobs of one point share their plan, so each distinct (schedule, exec)
+  // pair is hashed once.
+  const simmpi::Schedule* last_schedule = nullptr;
+  const simmpi::PlanExec* last_exec = nullptr;
+  std::uint64_t last_plan = 0;
   for (const JobBinding& job : jobs) {
     if (job.schedule == nullptr || job.exec == nullptr ||
         job.core_of_rank == nullptr) {
-      // Defective bindings never cache; any stable value works.
-      h = fnv1a(h, "null", 4);
+      // Defective bindings never match; any stable value works.
+      h = mix(h, 0x6e756c6cull);
       continue;
     }
-    const simmpi::Schedule& sched = *job.schedule;
-    const simmpi::PlanExec& exec = *job.exec;
-    const std::int64_t scalars[3] = {
-        static_cast<std::int64_t>(sched.nranks),
-        static_cast<std::int64_t>(job.repetitions), 0};
-    h = fnv1a(h, scalars, sizeof(scalars));
-    h = fnv1a(h, &job.start_time, sizeof(job.start_time));
-    h = fnv1a_vec(h, *job.core_of_rank);
-    for (const simmpi::MsgInfo& info : sched.messages) {
-      const std::int32_t ends[2] = {info.src, info.dst};
-      h = fnv1a(h, ends, sizeof(ends));
+    if (job.schedule != last_schedule || job.exec != last_exec) {
+      last_schedule = job.schedule;
+      last_exec = job.exec;
+      last_plan = plan_key(*job.schedule, *job.exec);
     }
-    h = fnv1a_vec(h, exec.rank_rounds_begin);
-    h = fnv1a_vec(h, exec.send_begin);
-    h = fnv1a_vec(h, exec.recv_begin);
-    h = fnv1a_vec(h, exec.send_msg);
-    h = fnv1a_vec(h, exec.recv_msg);
+    h = mix(h, last_plan);
+    h = mix(h, static_cast<std::uint64_t>(job.repetitions));
+    h = mix(h, std::bit_cast<std::uint64_t>(job.start_time));
+    h = hash_vec(h, *job.core_of_rank);
   }
   return h;
-}
-
-// ---- BoundCache -----------------------------------------------------------
-
-Result BoundCache::analyze(const topo::Machine& machine,
-                           const std::vector<JobBinding>& jobs,
-                           bool* structure_reused) {
-  if (structure_reused != nullptr) {
-    *structure_reused = false;
-  }
-  const std::uint64_t key = structure_key(machine, jobs);
-  std::shared_ptr<const BoundStructure> cached;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = map_.find(key);
-    if (it != map_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second.recency);
-      cached = it->second.structure;
-    }
-  }
-  // Evaluate outside the lock; the structure is immutable and shared_ptr
-  // keeps it alive across a concurrent eviction.
-  if (cached != nullptr && cached->compatible(machine, jobs)) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++hits_;
-    }
-    if (structure_reused != nullptr) {
-      *structure_reused = true;
-    }
-    return cached->evaluate(machine, jobs);
-  }
-
-  // Miss (cold key, or a hash collision whose exact check failed): run the
-  // full analysis outside the lock; two threads racing the same key both
-  // build — both sound, last one lands in the cache.
-  auto built = std::make_shared<BoundStructure>();
-  Result fresh;
-  *built = BoundStructure::build(machine, jobs, fresh);
-  const bool cacheable = built->clean() && !jobs.empty();
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ++misses_;
-    if (cacheable) {
-      const auto it = map_.find(key);
-      if (it != map_.end()) {
-        it->second.structure = std::move(built);
-        lru_.splice(lru_.begin(), lru_, it->second.recency);
-      } else {
-        lru_.push_front(key);
-        map_.emplace(key, Entry{std::move(built), lru_.begin()});
-        enforce_capacity_locked();
-      }
-    }
-  }
-  return fresh;
-}
-
-BoundCache::Stats BoundCache::stats() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.entries = map_.size();
-  return s;
-}
-
-void BoundCache::clear() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  map_.clear();
-  lru_.clear();
-  hits_ = 0;
-  misses_ = 0;
-  evictions_ = 0;
-}
-
-void BoundCache::set_capacity(std::size_t capacity) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  capacity_ = capacity;
-  enforce_capacity_locked();
-}
-
-std::size_t BoundCache::capacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return capacity_;
-}
-
-void BoundCache::enforce_capacity_locked() {
-  if (capacity_ == 0) {
-    return;
-  }
-  while (map_.size() > capacity_) {
-    const std::uint64_t victim = lru_.back();
-    lru_.pop_back();
-    map_.erase(victim);
-    ++evictions_;
-  }
 }
 
 }  // namespace mr::verify::binding

@@ -275,6 +275,28 @@ TEST(BindingDiagnostics, DeadlockedBindingReportsCycleAndZeroBound) {
   EXPECT_EQ(r.bound.lower_bound, 0.0);
 }
 
+TEST(BindingDiagnostics, MalformedExecutionStructureIsError) {
+  // An op naming a message past the table: derive_exec counts it once,
+  // the analyzer reports it instead of indexing out of bounds.
+  simmpi::Schedule s;
+  s.nranks = 2;
+  s.arena_size = 4;
+  s.messages = {
+      simmpi::MsgInfo{0, 1, {0, 2}, {0, 2}, simmpi::Combine::Replace}};
+  s.programs.resize(2);
+  s.programs[0].rounds.resize(1);
+  s.programs[0].rounds[0].sends = {simmpi::SendOp{0}, simmpi::SendOp{5}};
+  s.programs[1].rounds.resize(1);
+  s.programs[1].rounds[0].recvs = {simmpi::RecvOp{0}};
+  const simmpi::Plan plan = simmpi::make_plan(std::move(s));
+  const Result r = analyze(plan, topo::testbox(), {0, 1});
+  EXPECT_FALSE(r.clean());
+  EXPECT_NE(r.report.to_string().find("1 ops naming a message outside"),
+            std::string::npos)
+      << r.report.to_string();
+  EXPECT_EQ(r.bound.lower_bound, 0.0);
+}
+
 TEST(BindingDiagnostics, SameRoundExchangeIsNotACycle) {
   // The classic sendrecv pattern: posts are non-blocking, so mutual
   // same-round messages must analyze clean with a finite bound.
@@ -403,14 +425,14 @@ TEST(BindingLoad, ChannelAccountingMatchesFlowChannels) {
   }
 }
 
-// ---- BoundCache: payload-invariant structures vs fresh analysis -----------
+// ---- Workspace fast path, visit-order independence, BoundStructure -------
 //
-// The cache's contract is BIT-identity: evaluate() of a cached structure
-// must return the exact doubles a fresh analyze_jobs would — across the
-// registry, machines, payload sizes and mappings, serial and threaded.
+// The contract is BIT-identity: the workspace path, a different topological
+// visit order, and BoundStructure::evaluate must all return the exact
+// doubles a fresh analyze_jobs returns.
 
 /// Fresh analysis in the tuner's configuration (bound only, no load
-/// report) — the reference every cached result is compared against.
+/// report) — the reference every other path is compared against.
 Result fresh_bound(const topo::Machine& machine,
                    const std::vector<JobBinding>& jobs) {
   Options options;
@@ -419,22 +441,14 @@ Result fresh_bound(const topo::Machine& machine,
   return analyze_jobs(machine, jobs, options);
 }
 
-/// One cached-vs-fresh comparison; returns "" when bit-identical.
-std::string check_cached(BoundCache& cache, const topo::Machine& machine,
-                         const std::string& alg, std::int32_t p,
-                         std::int64_t count,
-                         const std::vector<std::int64_t>& cores) {
-  const simmpi::Plan plan = simmpi::compile_plan(alg, p, count, 0, 1);
-  const std::vector<JobBinding> jobs = {
-      {&plan.schedule, &plan.exec, plan.repetitions, &cores, 0.0}};
-  const Result want = fresh_bound(machine, jobs);
-  const Result got = cache.analyze(machine, jobs);
-  const std::string where = machine.name() + "/" + alg + "/count=" +
-                            std::to_string(count);
-  if (got.clean() != want.clean()) {
-    return where + ": clean() mismatch\n";
-  }
+/// "" when `got` equals `want` bit for bit (bound, clean flag, report).
+std::string same_result(const std::string& where, const Result& got,
+                        const Result& want) {
   std::string failures;
+  if (got.clean() != want.clean()) failures += where + ": clean() mismatch\n";
+  if (got.report.to_string() != want.report.to_string()) {
+    failures += where + ": diagnostics differ\n";
+  }
   if (got.bound.lower_bound != want.bound.lower_bound) {
     failures += where + ": lower_bound " +
                 std::to_string(got.bound.lower_bound) + " != " +
@@ -449,155 +463,215 @@ std::string check_cached(BoundCache& cache, const topo::Machine& machine,
   return failures;
 }
 
-TEST(BoundCache, EvaluateMatchesFreshAnalysisBitExactly) {
-  // Registry x {hydra, lumi} x three payload sizes x {packed, spread}; the
-  // size axis straddles the eager threshold, so cached evaluation must
-  // re-derive eager flags, transfer floors and compute times — not reuse
-  // the build payload's.
+TEST(BindingWorkspace, ReusedWorkspaceMatchesFreshAnalysis) {
+  // One workspace per machine serves the whole registry x payload x
+  // mapping matrix, so its route memo and buffers carry over between
+  // plans of different shapes; every result must still be exact.
   const topo::Machine machines[] = {topo::hydra(4), topo::lumi(2)};
-  const std::int64_t counts[] = {64, 2048, 65536};
-  BoundCache cache;
   std::string failures;
   for (const auto& machine : machines) {
+    Workspace workspace(machine);
     for (const auto& info : simmpi::algorithm_registry()) {
       const std::int32_t p = pick_p(info, machine.cores());
       ASSERT_GT(p, 0) << info.name;
-      for (const bool spread : {false, true}) {
-        const auto cores =
-            spread ? spread_cores(p, machine.cores()) : packed_cores(p);
-        for (const std::int64_t count : counts) {
-          failures += check_cached(cache, machine, info.name, p, count, cores);
+      for (const std::int64_t count : {64, 2048, 65536}) {
+        const simmpi::Plan plan =
+            simmpi::compile_plan(info.name, p, count, 0, 2);
+        for (const bool spread : {false, true}) {
+          const auto cores =
+              spread ? spread_cores(p, machine.cores()) : packed_cores(p);
+          const std::vector<JobBinding> jobs = {
+              {&plan.schedule, &plan.exec, plan.repetitions, &cores, 0.0},
+              {&plan.schedule, &plan.exec, plan.repetitions, &cores, 1e-6}};
+          failures += same_result(
+              machine.name() + "/" + info.name + "/" + std::to_string(count),
+              analyze_jobs(workspace, jobs), fresh_bound(machine, jobs));
         }
       }
     }
   }
   EXPECT_EQ(failures, "");
-  // The payload axis must have been served from cached structures: the
-  // three sizes of a (machine, algorithm, mapping) cell share one build
-  // whenever the algorithm's schedule shape is size-independent.
-  const BoundCache::Stats stats = cache.stats();
-  EXPECT_GT(stats.hits, 0);
-  EXPECT_GT(stats.misses, 0);
-  EXPECT_EQ(stats.evictions, 0);
 }
 
-TEST(BoundCache, ThreadedEvaluateMatchesFresh) {
-  // TSan target: one shared cache, concurrent analyze() calls racing on
-  // the same keys — results must still be bit-identical to fresh analysis.
+TEST(BindingWorkspace, FindingsFallBackToFullDiagnostics) {
+  // Errors and warnings alike take the full path: the Result, report text
+  // included, is the fresh analysis'.
+  const auto m = topo::testbox();
+  Workspace workspace(m);
+  const simmpi::Plan plan = simmpi::compile_plan("allgather_ring", 4, 16);
+  for (const std::vector<std::int64_t>& cores :
+       std::vector<std::vector<std::int64_t>>{
+           {0, 1, 2, 99}, {0, 0, 1, 2}, {0, 1, 2}, {0, 1, 2, 3}}) {
+    const std::vector<JobBinding> jobs = {
+        {&plan.schedule, &plan.exec, plan.repetitions, &cores, 0.0},
+        {&plan.schedule, &plan.exec, plan.repetitions, &cores, 0.0}};
+    const Result got = analyze_jobs(workspace, jobs);
+    EXPECT_EQ(same_result("cores", got, fresh_bound(m, jobs)), "");
+  }
+  const std::vector<std::int64_t> dup = {0, 0, 1, 2};
+  const Result warned = analyze_jobs(
+      workspace, {{&plan.schedule, &plan.exec, plan.repetitions, &dup, 0.0}});
+  EXPECT_TRUE(warned.clean());
+  EXPECT_EQ(warned.report.count(Severity::Warning), 1u);
+  EXPECT_GT(warned.bound.lower_bound, 0.0);
+}
+
+TEST(BindingWorkspace, PerThreadWorkspacesMatchFresh) {
+  // TSan target: concurrent analyses, one workspace per pool slot.
   const auto machine = topo::hydra(4);
   const auto& registry = simmpi::algorithm_registry();
-  const std::int64_t counts[] = {64, 2048, 65536};
-  BoundCache cache;
-  std::mutex mu;
-  std::string failures;
   util::ThreadPool pool(4);
-  pool.parallel_for(registry.size() * 3, [&](std::size_t i) {
+  std::vector<Workspace> workspaces;
+  for (unsigned s = 0; s < pool.size(); ++s) workspaces.emplace_back(machine);
+  std::vector<std::string> failures(registry.size() * 3);
+  pool.parallel_for_slots(registry.size() * 3,
+                          [&](unsigned slot, std::size_t i) {
     const auto& info = registry[i / 3];
-    const std::int64_t count = counts[i % 3];
+    const std::int64_t count = std::int64_t{64} << (5 * (i % 3));
     const std::int32_t p = pick_p(info, machine.cores());
-    const std::string f =
-        check_cached(cache, machine, info.name, p, count, packed_cores(p));
-    if (!f.empty()) {
-      const std::lock_guard<std::mutex> lock(mu);
-      failures += f;
-    }
+    const simmpi::Plan plan = simmpi::compile_plan(info.name, p, count, 0, 1);
+    const auto cores = packed_cores(p);
+    const std::vector<JobBinding> jobs = {
+        {&plan.schedule, &plan.exec, plan.repetitions, &cores, 0.0}};
+    failures[i] = same_result(info.name, analyze_jobs(workspaces[slot], jobs),
+                              fresh_bound(machine, jobs));
   });
+  for (const std::string& f : failures) EXPECT_EQ(f, "");
+}
+
+/// A topological order of one repetition that breaks ties the other way
+/// from derive_exec's: a FIFO queue seeded from the highest rank down.
+std::vector<std::int64_t> reverse_rank_order(const simmpi::PlanExec& exec) {
+  const std::int64_t nrounds = exec.rank_rounds_begin.back();
+  std::vector<std::int32_t> pend(static_cast<std::size_t>(nrounds));
+  std::vector<bool> last(static_cast<std::size_t>(nrounds), false);
+  std::vector<std::int64_t> queue;
+  for (std::size_t r = exec.rank_rounds_begin.size() - 1; r-- > 0;) {
+    if (exec.rank_rounds_begin[r] == exec.rank_rounds_begin[r + 1]) continue;
+    last[static_cast<std::size_t>(exec.rank_rounds_begin[r + 1] - 1)] = true;
+    queue.push_back(2 * exec.rank_rounds_begin[r]);
+  }
+  for (std::int64_t gi = 0; gi < nrounds; ++gi) {
+    const auto i = static_cast<std::size_t>(gi);
+    pend[i] = 1 + static_cast<std::int32_t>(exec.recv_begin[i + 1] -
+                                            exec.recv_begin[i]);
+  }
+  for (std::size_t head = 0; head < queue.size(); ++head) {
+    const std::int64_t event = queue[head];
+    const auto gi = static_cast<std::size_t>(event / 2);
+    if (event % 2 == 1) {
+      if (!last[gi]) queue.push_back(event + 1);
+      continue;
+    }
+    for (std::int64_t k = exec.send_begin[gi + 1]; k-- > exec.send_begin[gi];) {
+      const std::int64_t dst = exec.msg_recv_round[static_cast<std::size_t>(
+          exec.send_msg[static_cast<std::size_t>(k)])];
+      if (--pend[static_cast<std::size_t>(dst)] == 0) {
+        queue.push_back(2 * dst + 1);
+      }
+    }
+    if (--pend[gi] == 0) queue.push_back(event + 1);
+  }
+  return queue;
+}
+
+TEST(BindingWorkspace, AnyTopologicalOrderGivesIdenticalBits) {
+  // Every DP step is a max, a min, a `+` of fixed operands or an exact
+  // int64 sum, so a second valid visit order must reproduce the bound
+  // bit for bit.
+  const topo::Machine machines[] = {topo::testbox(), topo::lumi(2)};
+  int reordered = 0;
+  for (const auto& machine : machines) {
+    for (const auto& info : simmpi::algorithm_registry()) {
+      const std::int32_t p = pick_p(info, machine.cores());
+      for (const std::int64_t count : {64, 65536}) {
+        const simmpi::Plan plan =
+            simmpi::compile_plan(info.name, p, count, 0, 3);
+        simmpi::PlanExec other = plan.exec;
+        other.visit_order = reverse_rank_order(plan.exec);
+        ASSERT_EQ(other.visit_order.size(), plan.exec.visit_order.size());
+        reordered += other.visit_order != plan.exec.visit_order;
+        for (const bool spread : {false, true}) {
+          const auto cores =
+              spread ? spread_cores(p, machine.cores()) : packed_cores(p);
+          const Result want = fresh_bound(
+              machine,
+              {{&plan.schedule, &plan.exec, plan.repetitions, &cores, 0.0}});
+          const Result got = fresh_bound(
+              machine,
+              {{&plan.schedule, &other, plan.repetitions, &cores, 0.0}});
+          EXPECT_EQ(same_result(info.name, got, want), "");
+        }
+      }
+    }
+  }
+  EXPECT_GT(reordered, 0);  // the property is not vacuous.
+}
+
+TEST(BoundStructure, EvaluateMatchesFreshAnalysisBitExactly) {
+  // A structure built at one payload evaluates another payload of the same
+  // shape exactly; the size axis straddles the eager threshold, so eager
+  // flags, transfer floors and compute times must follow the live payload.
+  const topo::Machine machines[] = {topo::hydra(4), topo::lumi(2)};
+  std::string failures;
+  int evaluated = 0;
+  for (const auto& machine : machines) {
+    for (const auto& info : simmpi::algorithm_registry()) {
+      const std::int32_t p = pick_p(info, machine.cores());
+      const auto cores = spread_cores(p, machine.cores());
+      const simmpi::Plan base = simmpi::compile_plan(info.name, p, 64, 0, 1);
+      Result built;
+      const BoundStructure structure = BoundStructure::build(
+          machine, {{&base.schedule, &base.exec, 1, &cores, 0.0}}, built);
+      ASSERT_TRUE(structure.clean()) << info.name;
+      for (const std::int64_t count : {2048, 65536}) {
+        const simmpi::Plan plan =
+            simmpi::compile_plan(info.name, p, count, 0, 1);
+        const std::vector<JobBinding> jobs = {
+            {&plan.schedule, &plan.exec, 1, &cores, 0.0}};
+        if (!structure.compatible(machine, jobs)) continue;
+        const std::vector<JobBinding> base_jobs = {
+            {&base.schedule, &base.exec, 1, &cores, 0.0}};
+        EXPECT_EQ(structure_key(machine, jobs),
+                  structure_key(machine, base_jobs));
+        failures += same_result(info.name, structure.evaluate(machine, jobs),
+                                fresh_bound(machine, jobs));
+        ++evaluated;
+      }
+    }
+  }
   EXPECT_EQ(failures, "");
+  EXPECT_GT(evaluated, 0);
 }
 
-TEST(BoundCache, ReusesStructureAcrossPayloadSizes) {
-  // Same schedule shape, different payload: the second call must be served
-  // by evaluate() on the first call's structure.
+TEST(BoundStructure, SnapshotOutlivesSourcePlanAndRejectsOtherCores) {
   const auto machine = topo::hydra(4);
-  BoundCache cache;
-  const simmpi::Plan small = simmpi::compile_plan("allgather_ring", 4, 64);
-  const simmpi::Plan large = simmpi::compile_plan("allgather_ring", 4, 128);
   const auto cores = packed_cores(4);
-  const std::vector<JobBinding> jsmall = {
-      {&small.schedule, &small.exec, small.repetitions, &cores, 0.0}};
-  const std::vector<JobBinding> jlarge = {
-      {&large.schedule, &large.exec, large.repetitions, &cores, 0.0}};
-  bool reused = true;
-  cache.analyze(machine, jsmall, &reused);
-  EXPECT_FALSE(reused);  // cold: built.
-  const Result got = cache.analyze(machine, jlarge, &reused);
-  EXPECT_TRUE(reused);  // same structure, new payload.
-  const Result want = fresh_bound(machine, jlarge);
-  EXPECT_EQ(got.bound.lower_bound, want.bound.lower_bound);
-  EXPECT_EQ(cache.stats().hits, 1);
-  EXPECT_EQ(cache.stats().misses, 1);
-}
-
-TEST(BoundCache, LruEvictionClearAndCapacity) {
-  const auto machine = topo::hydra(4);
-  BoundCache cache(2);
-  EXPECT_EQ(cache.capacity(), 2u);
-  const auto cores = packed_cores(4);
-  std::vector<simmpi::Plan> plans;
-  for (const std::string alg :
-       {"allgather_ring", "alltoall_pairwise", "bcast_binomial"}) {
-    plans.push_back(simmpi::compile_plan(alg, 4, 256));
-  }
-  for (const auto& plan : plans) {
-    cache.analyze(machine,
-                  {{&plan.schedule, &plan.exec, plan.repetitions, &cores, 0.0}});
-  }
-  // Three distinct structures through a 2-entry cache: one eviction.
-  EXPECT_EQ(cache.stats().misses, 3);
-  EXPECT_EQ(cache.stats().entries, 2u);
-  EXPECT_EQ(cache.stats().evictions, 1);
-  // The evicted (least-recent) structure must rebuild — correctly.
-  const std::vector<JobBinding> first = {{&plans[0].schedule, &plans[0].exec,
-                                          plans[0].repetitions, &cores, 0.0}};
-  bool reused = true;
-  const Result got = cache.analyze(machine, first, &reused);
-  EXPECT_FALSE(reused);
-  EXPECT_EQ(got.bound.lower_bound, fresh_bound(machine, first).bound.lower_bound);
-  cache.clear();
-  EXPECT_EQ(cache.stats().entries, 0u);
-  EXPECT_EQ(cache.stats().hits, 0);
-  cache.set_capacity(0);  // unbounded.
-  EXPECT_EQ(cache.capacity(), 0u);
-}
-
-TEST(BoundCache, DefectiveBindingIsNeverCached) {
-  // An unclean analysis (core out of range) must not enter the cache, and
-  // must keep reporting its diagnostics on every call.
-  const auto machine = topo::testbox();
-  BoundCache cache;
-  const simmpi::Plan plan = simmpi::compile_plan("allgather_ring", 4, 16);
-  const std::vector<std::int64_t> bad = {0, 1, 2, 99};
-  const std::vector<JobBinding> jobs = {
-      {&plan.schedule, &plan.exec, plan.repetitions, &bad, 0.0}};
-  for (int i = 0; i < 2; ++i) {
-    const Result r = cache.analyze(machine, jobs);
-    EXPECT_FALSE(r.clean());
-    EXPECT_FALSE(r.report.diagnostics.empty());
-  }
-  EXPECT_EQ(cache.stats().misses, 2);
-  EXPECT_EQ(cache.stats().entries, 0u);
-}
-
-TEST(BoundCache, SurvivesSourcePlanDestruction) {
-  // The structure deep-copies everything it needs at build time: evaluating
-  // through a DIFFERENT plan object after the build plan is destroyed (the
-  // PlanCache-eviction scenario) must still be safe and exact.
-  const auto machine = topo::hydra(4);
-  BoundCache cache;
-  const auto cores = packed_cores(4);
+  BoundStructure structure;
   {
     const simmpi::Plan doomed = simmpi::compile_plan("allgather_ring", 4, 64);
-    cache.analyze(machine, {{&doomed.schedule, &doomed.exec,
-                             doomed.repetitions, &cores, 0.0}});
+    Result fresh;
+    structure = BoundStructure::build(
+        machine, {{&doomed.schedule, &doomed.exec, 1, &cores, 0.0}}, fresh);
   }
-  const simmpi::Plan fresh_plan = simmpi::compile_plan("allgather_ring", 4, 64);
-  const std::vector<JobBinding> jobs = {{&fresh_plan.schedule, &fresh_plan.exec,
-                                         fresh_plan.repetitions, &cores, 0.0}};
-  bool reused = false;
-  const Result got = cache.analyze(machine, jobs, &reused);
-  EXPECT_TRUE(reused);
-  EXPECT_EQ(got.bound.lower_bound,
+  const simmpi::Plan plan = simmpi::compile_plan("allgather_ring", 4, 64);
+  const std::vector<JobBinding> jobs = {
+      {&plan.schedule, &plan.exec, 1, &cores, 0.0}};
+  ASSERT_TRUE(structure.compatible(machine, jobs));
+  EXPECT_EQ(structure.evaluate(machine, jobs).bound.lower_bound,
             fresh_bound(machine, jobs).bound.lower_bound);
+  const auto other = spread_cores(4, machine.cores());
+  const std::vector<JobBinding> moved = {
+      {&plan.schedule, &plan.exec, 1, &other, 0.0}};
+  EXPECT_FALSE(structure.compatible(machine, moved));
+  EXPECT_NE(structure_key(machine, moved), structure_key(machine, jobs));
+  // A defective binding never yields a clean structure.
+  const std::vector<std::int64_t> bad = {0, 1, 2, machine.cores()};
+  Result fresh;
+  EXPECT_FALSE(BoundStructure::build(
+                   machine, {{&plan.schedule, &plan.exec, 1, &bad, 0.0}}, fresh)
+                   .clean());
+  EXPECT_FALSE(fresh.clean());
 }
 
 TEST(BindingChannelName, NamesFollowLevelAndKind) {

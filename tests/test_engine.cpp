@@ -244,30 +244,6 @@ TEST(Engine, ShimsMatchEngineFirstOverloads) {
   EXPECT_EQ(shim_json.str(), tune_json(tune_engine, machine, query));
 }
 
-TEST(Engine, BoundCacheIsScopedAndSurfacedInStats) {
-  EngineConfig config;
-  config.bound_cache_capacity = 1;
-  Engine bounded(config);
-  Engine fresh;
-  const auto machine = topo::hydra(2);
-  const simmpi::Plan ring = simmpi::compile_plan("allgather_ring", 4, 64);
-  const simmpi::Plan pair = simmpi::compile_plan("alltoall_pairwise", 4, 64);
-  const std::vector<std::int64_t> cores = {0, 1, 2, 3};
-  // ring, pair, ring through a 1-entry cache: three builds, two evictions.
-  for (const auto* plan : {&ring, &pair, &ring}) {
-    bounded.bound_cache().analyze(
-        machine,
-        {{&plan->schedule, &plan->exec, plan->repetitions, &cores, 0.0}});
-  }
-  const auto stats = bounded.stats();
-  EXPECT_EQ(stats.bound_cache.misses, 3);
-  EXPECT_EQ(stats.bound_cache.entries, 1u);
-  EXPECT_EQ(stats.bound_cache.evictions, 2);
-  // Scoped: another engine's cache saw none of it.
-  EXPECT_EQ(fresh.stats().bound_cache.misses, 0);
-  EXPECT_EQ(fresh.stats().bound_cache.entries, 0u);
-}
-
 TEST(Engine, DedicatedThreadBudgetIsCooperative) {
   // The budget is process-global state; this test owns it for its scope
   // and restores the unlimited default on every path out.

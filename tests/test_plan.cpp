@@ -90,6 +90,76 @@ TEST(Registry, VerifyMatrixDelegatesToRegistry) {
   }
 }
 
+TEST(PlanExec, VisitOrderIsTopologicalForEveryRegistryPlan) {
+  // Every event appears once, a READY follows its rank's previous FINISH,
+  // and a FINISH follows its own READY and every sender's READY.
+  for (const AlgorithmInfo& info : algorithm_registry()) {
+    for (const std::int32_t p : {8, 6, 4, 2}) {
+      if (!info.supported(p)) continue;
+      const Plan plan = compile_plan(info.name, p, 4096);
+      const PlanExec& exec = plan.exec;
+      const auto nrounds =
+          static_cast<std::size_t>(exec.rank_rounds_begin.back());
+      ASSERT_EQ(exec.visit_order.size(), 2 * nrounds) << info.name;
+      EXPECT_EQ(exec.malformed_ops, 0);
+      std::vector<std::int64_t> pos(2 * nrounds, -1);
+      for (std::size_t i = 0; i < exec.visit_order.size(); ++i) {
+        const auto e = static_cast<std::size_t>(exec.visit_order[i]);
+        ASSERT_EQ(pos[e], -1) << info.name << ": event " << e << " twice";
+        pos[e] = static_cast<std::int64_t>(i);
+      }
+      const auto before = [&](std::size_t a, std::size_t b) {
+        return pos[a] < pos[b];
+      };
+      for (std::size_t r = 0; r + 1 < exec.rank_rounds_begin.size(); ++r) {
+        for (auto gi = static_cast<std::size_t>(exec.rank_rounds_begin[r]);
+             gi < static_cast<std::size_t>(exec.rank_rounds_begin[r + 1]);
+             ++gi) {
+          EXPECT_TRUE(before(2 * gi, 2 * gi + 1)) << info.name;
+          if (gi > static_cast<std::size_t>(exec.rank_rounds_begin[r])) {
+            EXPECT_TRUE(before(2 * gi - 1, 2 * gi)) << info.name;
+          }
+        }
+      }
+      for (std::size_t m = 0; m < plan.schedule.messages.size(); ++m) {
+        const auto send = static_cast<std::size_t>(exec.msg_send_round[m]);
+        const auto recv = static_cast<std::size_t>(exec.msg_recv_round[m]);
+        EXPECT_TRUE(before(2 * send, 2 * recv + 1)) << info.name;
+      }
+    }
+  }
+}
+
+TEST(PlanExec, DerivationFlagsMalformedAndCyclicCsr) {
+  // Each rank waits in round 0 for a message the peer sends in round 1.
+  Schedule s;
+  s.nranks = 2;
+  s.arena_size = 4;
+  s.messages = {MsgInfo{1, 0, {0, 2}, {0, 2}, Combine::Replace},
+                MsgInfo{0, 1, {2, 2}, {2, 2}, Combine::Replace}};
+  s.programs.resize(2);
+  s.programs[0].rounds.resize(2);
+  s.programs[0].rounds[0].recvs = {RecvOp{0}};
+  s.programs[0].rounds[1].sends = {SendOp{1}};
+  s.programs[1].rounds.resize(2);
+  s.programs[1].rounds[0].recvs = {RecvOp{1}};
+  s.programs[1].rounds[1].sends = {SendOp{0}};
+  const PlanExec cyclic = derive_exec(s);
+  EXPECT_EQ(cyclic.malformed_ops, 0);
+  EXPECT_EQ(cyclic.msg_send_round, (std::vector<std::int64_t>{3, 1}));
+  EXPECT_EQ(cyclic.msg_recv_round, (std::vector<std::int64_t>{0, 2}));
+  EXPECT_LT(cyclic.visit_order.size(), 8u);
+
+  // An unsent message leaves its round -1; an id past the table and a
+  // second send of one message are malformed ops.
+  s.programs[1].rounds[1].sends = {};
+  const PlanExec unsent = derive_exec(s);
+  EXPECT_EQ(unsent.msg_send_round[0], -1);
+  EXPECT_EQ(unsent.malformed_ops, 0);
+  s.programs[1].rounds[1].sends = {SendOp{7}, SendOp{1}};
+  EXPECT_EQ(derive_exec(s).malformed_ops, 2);
+}
+
 TEST(PlanExec, CsrMatchesSchedule) {
   const Schedule s = make_algorithm("allgather_ring", 5, 20);
   const PlanExec exec = derive_exec(s);

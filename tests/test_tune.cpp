@@ -15,6 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <set>
 #include <sstream>
@@ -25,6 +26,7 @@
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/tune/report.hpp"
 #include "mixradix/util/expect.hpp"
+#include "mixradix/verify/binding.hpp"
 
 namespace mr::tune {
 namespace {
@@ -348,44 +350,58 @@ TEST(Tune, CollectiveNamesRoundTrip) {
   EXPECT_THROW(parse_collective(""), invalid_argument);
 }
 
-TEST(Tune, BoundCacheDoesNotChangeTheReport) {
-  // use_bound_cache routes stage-2 bounds through the engine's BoundCache
-  // (one payload-invariant structure per binding class, evaluated per
-  // payload point). The cached evaluate IS the uncached analysis bit for
-  // bit, so the canonical report must not change by a byte — bounds, visit
-  // order, prunes, scores, ranking.
+TEST(Tune, StageTwoBoundsMatchFreshAnalysis) {
+  // Stage 2 runs the bound kernel in per-slot workspaces. Every
+  // candidate's lower_bound must equal, bit for bit, the sum over the
+  // query's points of a fresh analyze_jobs bound, at any thread count.
   const auto machine = topo::hydra(2);
   TuneQuery query;
+  query.collectives = {simmpi::Collective::Alltoall,
+                       simmpi::Collective::Allreduce};
   query.comm_sizes = {16};
-  query.total_bytes = {256 << 10, 512 << 10, 1 << 20};
+  query.total_bytes = {4 << 10, 256 << 10, 1 << 20};
   query.k = 2;
-  query.threads = 1;
-
-  Engine cached_engine;
-  query.use_bound_cache = true;
-  const TuneReport cached = tune(cached_engine, machine, query);
-  Engine fresh_engine;
-  query.use_bound_cache = false;
-  const TuneReport fresh = tune(fresh_engine, machine, query);
-
-  std::ostringstream cached_json, fresh_json;
-  write_json(cached_json, cached, /*candidates=*/true);
-  write_json(fresh_json, fresh, /*candidates=*/true);
-  EXPECT_EQ(cached_json.str(), fresh_json.str());
-
-  // Accounting: every (candidate, point) bound is either a build or a
-  // reuse; with the cache off, every one is a build.
-  const auto npoints = static_cast<std::int64_t>(cached.points.size());
-  EXPECT_EQ(cached.stats.bound_structures_built +
-                cached.stats.bound_structure_reuses,
-            cached.stats.bounds_computed * npoints);
-  EXPECT_GT(cached.stats.bound_structure_reuses, 0);
-  EXPECT_EQ(fresh.stats.bound_structure_reuses, 0);
-  EXPECT_EQ(fresh.stats.bound_structures_built,
-            fresh.stats.bounds_computed * npoints);
-  // The engine's cache saw the traffic; the uncached engine's did not.
-  EXPECT_GT(cached_engine.stats().bound_cache.hits, 0);
-  EXPECT_EQ(fresh_engine.stats().bound_cache.hits, 0);
+  std::string json[2];
+  for (const int threads : {1, 4}) {
+    query.threads = threads;
+    Engine engine;
+    const TuneReport report = tune(engine, machine, query);
+    verify::binding::Options options;
+    options.load_report = false;
+    std::int64_t checked = 0;
+    for (const TuneCandidate& c : report.candidates) {
+      double bound = 0;
+      for (const QueryPoint& point : report.points) {
+        harness::MicrobenchConfig mb;
+        mb.order = c.order;
+        mb.comm_size = point.comm_size;
+        mb.collective = point.collective;
+        mb.total_bytes = point.total_bytes;
+        mb.all_comms = true;
+        mb.repetitions = query.repetitions;
+        const auto jobs = harness::protocol_jobs(engine, machine, mb);
+        std::vector<verify::binding::JobBinding> bindings;
+        for (const auto& job : jobs) {
+          bindings.push_back({&job.plan->schedule, &job.plan->exec,
+                              job.plan->repetitions, &job.core_of_rank,
+                              job.start_time});
+        }
+        const auto result =
+            verify::binding::analyze_jobs(machine, bindings, options);
+        ASSERT_TRUE(result.clean()) << result.report.to_string();
+        bound += result.bound.for_slack(query.completion_slack);
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(bound),
+                std::bit_cast<std::uint64_t>(c.lower_bound))
+          << order_to_string(c.order) << " at threads=" << threads;
+      ++checked;
+    }
+    EXPECT_EQ(checked, report.stats.bounds_computed);
+    std::ostringstream os;
+    write_json(os, report, /*candidates=*/true);
+    json[threads == 1 ? 0 : 1] = os.str();
+  }
+  EXPECT_EQ(json[0], json[1]);
 }
 
 TEST(Tune, IncrementalReTuneMatchesColdTopK) {
