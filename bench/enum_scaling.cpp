@@ -13,15 +13,25 @@
 // nth_order_lexicographic against the materialised order list, and writes
 // BENCH_enum.json so the speedup is tracked across PRs. Pass --quick for
 // CI-sized comm sizes.
+//
+// A second section times the listing path of `mrenum_cli orders` on a
+// depth-7 hierarchy (unrank -> characterize -> Slurm equivalent -> one
+// line per order) and checks its text byte-identical against a full-scan
+// oracle that materialises every placement and candidate task map.
+#include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <functional>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench/bench_common.hpp"
+#include "mixradix/mr/decompose.hpp"
 #include "mixradix/mr/equivalence.hpp"
+#include "mixradix/slurm/distribution.hpp"
 
 namespace {
 
@@ -93,6 +103,76 @@ bool unranking_matches(int depth, const std::vector<mr::Order>& orders) {
     }
   }
   return mr::nth_order_lexicographic(depth, total - 1) == orders.back();
+}
+
+using DistributionFn = std::function<std::optional<mr::slurm::Distribution>(
+    const mr::Hierarchy&, const mr::Order&)>;
+
+// What `mrenum_cli orders` prints for every order of `h` (comm size =
+// the whole machine), with the Slurm equivalent found by `distribution`.
+std::string render_listing(const mr::Hierarchy& h,
+                           const DistributionFn& distribution) {
+  std::string text;
+  for (long long idx = 0; idx < mr::factorial(h.depth()); ++idx) {
+    const mr::Order order = mr::nth_order_lexicographic(h.depth(), idx);
+    const auto ch =
+        mr::characterize_order(h, order, h.total(), mr::MetricsImpl::Fast);
+    const auto dist = distribution(h, order);
+    text += ch.to_string();
+    text += "  distribution=";
+    text += dist ? dist->to_string() : "-";
+    text += '\n';
+  }
+  return text;
+}
+
+// Full-scan oracle from public definitions only: the order's placement
+// inverted from reorder_all_ranks, compared whole against the task map of
+// every candidate distribution.
+std::optional<mr::slurm::Distribution> full_scan_distribution(
+    const mr::Hierarchy& h, const mr::Order& order) {
+  const auto forward = mr::reorder_all_ranks(h, order);
+  std::vector<std::int64_t> placement(forward.size());
+  for (std::size_t old_rank = 0; old_rank < forward.size(); ++old_rank) {
+    placement[static_cast<std::size_t>(forward[old_rank])] =
+        static_cast<std::int64_t>(old_rank);
+  }
+  const auto view = mr::slurm::MachineView::from_hierarchy(h);
+  for (const auto& d : mr::slurm::candidate_distributions(view)) {
+    if (mr::slurm::task_map(view, d) == placement) return d;
+  }
+  return std::nullopt;
+}
+
+struct ListingRun {
+  std::string hierarchy;
+  long long orders = 0;
+  double seconds = 0.0;         ///< median of kListingReps listings.
+  double oracle_seconds = 0.0;  ///< one full-scan listing.
+  bool identical = false;
+
+  double orders_per_s() const { return seconds > 0 ? orders / seconds : 0.0; }
+};
+
+ListingRun run_listing(const mr::Hierarchy& h) {
+  constexpr int kListingReps = 5;
+  ListingRun run;
+  run.hierarchy = h.to_string();
+  run.orders = mr::factorial(h.depth());
+  std::string text;
+  std::vector<double> seconds;
+  for (int rep = 0; rep < kListingReps; ++rep) {
+    const auto start = std::chrono::steady_clock::now();
+    text = render_listing(h, mr::slurm::equivalent_distribution);
+    seconds.push_back(seconds_since(start));
+  }
+  std::sort(seconds.begin(), seconds.end());
+  run.seconds = seconds[seconds.size() / 2];
+  const auto start = std::chrono::steady_clock::now();
+  const std::string oracle = render_listing(h, full_scan_distribution);
+  run.oracle_seconds = seconds_since(start);
+  run.identical = text == oracle;
+  return run;
 }
 
 }  // namespace
@@ -211,6 +291,17 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
+  // Depth 7, 256 cores: the listing `mrenum_cli orders` prints, as timed
+  // by the perfbench enumerate workload.
+  const ListingRun listing = run_listing(mr::Hierarchy{2, 2, 2, 2, 2, 2, 4});
+  std::cout << "enum_scaling[listing]: hierarchy " << listing.hierarchy << ", "
+            << listing.orders << " orders\n"
+            << "  listing: " << listing.seconds << " s median ("
+            << listing.orders_per_s() << " orders/s); full-scan oracle "
+            << listing.oracle_seconds << " s\n"
+            << "  listing identical to the full-scan oracle: "
+            << (listing.identical ? "yes" : "NO — MATCHER MISMATCH") << "\n\n";
+
   std::ofstream json("BENCH_enum.json");
   json << "{\n"
        << "  \"bench\": \"enum_scaling\",\n"
@@ -219,10 +310,21 @@ int main(int argc, char** argv) {
        << "  \"machines\": [\n"
        << machines_json.str() << "  ],\n"
        << "  \"min_speedup\": " << min_speedup << ",\n"
+       << "  \"listing\": {\n"
+       << "    \"hierarchy\": \"" << listing.hierarchy << "\",\n"
+       << "    \"orders\": " << listing.orders << ",\n"
+       << "    \"listing_seconds\": " << listing.seconds << ",\n"
+       << "    \"listing_orders_per_s\": " << listing.orders_per_s() << ",\n"
+       << "    \"oracle_seconds\": " << listing.oracle_seconds << "\n"
+       << "  },\n"
+       << "  \"listing_identical\": "
+       << (listing.identical ? "true" : "false") << ",\n"
        << "  \"identical_output\": "
-       << (all_identical && all_unranked ? "true" : "false") << "\n"
+       << (all_identical && all_unranked && listing.identical ? "true"
+                                                              : "false")
+       << "\n"
        << "}\n";
   std::cout << "json written to BENCH_enum.json\n";
 
-  return all_identical && all_unranked ? 0 : 1;
+  return all_identical && all_unranked && listing.identical ? 0 : 1;
 }

@@ -5,11 +5,13 @@
 //   $ ./mrenum rankfile --hierarchy 16:2:2:8 --order 1-3-2-0
 //   $ ./mrenum map_cpu --hierarchy 2:4:2:8 --order 2-1-0-3 --nprocs 16
 //   $ ./mrenum orders --hierarchy 2:2:4 --comm-size 4
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "mixradix/mr/core_select.hpp"
 #include "mixradix/mr/equivalence.hpp"
@@ -58,6 +60,15 @@ std::pair<long long, long long> parse_shard(const std::string& value) {
   return {index, count};
 }
 
+/// Flags each command reads; --hierarchy is shared by all of them.
+std::vector<std::string> known_flags(const std::string& command) {
+  if (command == "rank") return {"hierarchy", "order", "rank"};
+  if (command == "rankfile") return {"hierarchy", "order"};
+  if (command == "map_cpu") return {"hierarchy", "order", "nprocs"};
+  if (command == "orders") return {"hierarchy", "comm-size", "metrics", "shard"};
+  return {};
+}
+
 mr::MetricsImpl parse_metrics_impl(const std::string& value) {
   if (value == "fast") return mr::MetricsImpl::Fast;
   if (value == "reference") return mr::MetricsImpl::Reference;
@@ -72,10 +83,23 @@ int main(int argc, char** argv) {
   if (argc < 2) return usage();
   const std::string command = argv[1];
 
+  const std::vector<std::string> known = known_flags(command);
+  if (known.empty()) return usage();
+  // Every flag takes a value; a flag the command does not read is an error,
+  // not a silently ignored typo.
   std::map<std::string, std::string> flags;
-  for (int i = 2; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) return usage();
-    flags[argv[i] + 2] = argv[i + 1];
+  for (int i = 2; i < argc; i += 2) {
+    const std::string name = std::strncmp(argv[i], "--", 2) == 0 ? argv[i] + 2 : "";
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::cerr << "error: unknown flag " << argv[i] << " for command '"
+                << command << "'\n";
+      return usage();
+    }
+    if (i + 1 == argc) {
+      std::cerr << "error: flag " << argv[i] << " needs a value\n";
+      return usage();
+    }
+    flags[name] = argv[i + 1];
   }
   const auto flag = [&](const char* name, const char* fallback) {
     const auto it = flags.find(name);

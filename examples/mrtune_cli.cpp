@@ -12,6 +12,7 @@
 // and funnel provenance; --json 1 emits the canonical machine-readable
 // report instead (byte-identical across runs and thread counts when the
 // budget is a point budget or absent).
+#include <algorithm>
 #include <cstring>
 #include <iostream>
 #include <map>
@@ -84,12 +85,25 @@ std::vector<std::string> split(const std::string& spec, char sep) {
 
 int main(int argc, char** argv) {
   using namespace mr;
+  // Every flag takes a value; a flag the tuner does not read is an error,
+  // not a silently ignored typo.
+  static const std::vector<std::string> known = {
+      "machine", "size", "collective", "bytes", "concurrency", "k", "reps",
+      "threads", "slack", "budget-points", "budget-seconds", "shard",
+      "plan-cache-cap", "json"};
   std::map<std::string, std::string> flags;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strncmp(argv[i], "--", 2) != 0) return usage();
-    flags[argv[i] + 2] = argv[i + 1];
+  for (int i = 1; i < argc; i += 2) {
+    const std::string name = std::strncmp(argv[i], "--", 2) == 0 ? argv[i] + 2 : "";
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      std::cerr << "error: unknown flag " << argv[i] << "\n";
+      return usage();
+    }
+    if (i + 1 == argc) {
+      std::cerr << "error: flag " << argv[i] << " needs a value\n";
+      return usage();
+    }
+    flags[name] = argv[i + 1];
   }
-  if (argc > 1 && (argc - 1) % 2 != 0) return usage();
   const auto flag = [&](const char* name, const char* fallback) {
     const auto it = flags.find(name);
     return it == flags.end() ? std::string(fallback) : it->second;

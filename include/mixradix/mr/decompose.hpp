@@ -8,6 +8,7 @@
 // renumbers every core.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -49,8 +50,54 @@ std::int64_t reorder_rank(const Hierarchy& h, std::int64_t rank,
 std::vector<std::int64_t> reorder_all_ranks(const Hierarchy& h,
                                             const std::vector<int>& order);
 
+/// Deepest possible hierarchy: every radix is >= 2 and the total fits an
+/// int64, so there are at most 62 levels.
+inline constexpr int kMaxDepth = 62;
+
+/// The mixed-radix placement walk: visits new ranks 0, 1, 2, ... under
+/// `order` and yields the old core carrying each one, without decomposing
+/// or composing any rank. It is an odometer over the permuted radices:
+/// position i (fastest-varying) holds the digit of level order[i], which
+/// contributes digit * leaves_below(order[i] + 1) to the old core id, so
+/// each step is amortised O(1) (a carry into position k happens once every
+/// prod(radix of positions < k) steps). The walk lives in fixed inline
+/// storage and never allocates.
+class PlacementWalk {
+ public:
+  /// Validates `order` once, with the same messages as compose().
+  PlacementWalk(const Hierarchy& h, const std::vector<int>& order);
+
+  /// Old core carrying the current new rank; h.total() once the walk has
+  /// stepped past the last rank.
+  std::int64_t core() const noexcept { return core_; }
+
+  /// Step to the next new rank.
+  void next() noexcept {
+    std::size_t i = 0;
+    while (digit_[i] == radix_[i] - 1) {
+      core_ -= static_cast<std::int64_t>(digit_[i]) * weight_[i];
+      digit_[i] = 0;
+      ++i;
+    }
+    ++digit_[i];
+    core_ += weight_[i];
+  }
+
+ private:
+  // One slot past the deepest level: a sentinel position whose radix never
+  // rolls over and whose weight is h.total(), so stepping past the last
+  // rank needs no bounds check.
+  static constexpr std::size_t kSlots = kMaxDepth + 1;
+
+  std::int64_t core_ = 0;
+  std::array<int, kSlots> digit_;
+  std::array<int, kSlots> radix_;
+  std::array<std::int64_t, kSlots> weight_;
+};
+
 /// Inverse mapping: result[new_rank] = old_rank (i.e. which original core
 /// carries each reordered rank). Useful to draw Fig. 2-style layouts.
+/// One PlacementWalk; equal to inverting reorder_all_ranks(h, order).
 std::vector<std::int64_t> placement_of_new_ranks(const Hierarchy& h,
                                                  const std::vector<int>& order);
 

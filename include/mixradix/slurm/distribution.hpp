@@ -59,10 +59,19 @@ struct MachineView {
 /// core) hosting that rank.
 std::vector<std::int64_t> task_map(const MachineView& m, const Distribution& d);
 
+/// The --distribution values equivalent_distribution() tries, in the
+/// order it tries them: block:block, block:cyclic, cyclic:block,
+/// cyclic:cyclic, then plane=k for every k in [2, cores_per_node) that
+/// divides cores_per_node.
+std::vector<Distribution> candidate_distributions(const MachineView& m);
+
 /// Find the --distribution value whose task map equals the mixed-radix
-/// order's map on hierarchy `h`, trying block/cyclic combinations and
-/// plane=k for every k in [2, cores_per_node). std::nullopt reproduces
-/// Fig. 2's "Not possible" caption for order [1,0,2].
+/// order's map on hierarchy `h`: the first of candidate_distributions()
+/// that matches. std::nullopt reproduces Fig. 2's "Not possible" caption
+/// for order [1,0,2]. No map is materialised: the order's PlacementWalk is
+/// streamed rank by rank against every live candidate, and a candidate is
+/// dropped at its first mismatching rank, so the search usually ends
+/// within a few ranks.
 std::optional<Distribution> equivalent_distribution(const Hierarchy& h,
                                                     const Order& order);
 

@@ -120,14 +120,14 @@ std::vector<OrderClass> classify_reference(Engine& engine, const Hierarchy& h,
 
 // ---- Hashed fast classifier ------------------------------------------------
 //
-// Two parallel passes over reusable flat per-thread buffers:
-//  1. a 128-bit signature hash per order (no placement materialised: an
-//     odometer over the permuted radices yields core ids incrementally, and
-//     multiset hashing replaces the canonicalising sorts);
+// Two parallel passes:
+//  1. a 128-bit signature hash per order (no placement materialised: the
+//     PlacementWalk yields core ids incrementally, and multiset hashing
+//     replaces the canonicalising sorts);
 //  2. per hash group, prove the grouping sound by comparing the members'
 //     REAL canonical signatures — each order builds its placement exactly
-//     once here — and characterize the representative with the closed-form
-//     kernels.
+//     once here, into reusable flat per-thread buffers — and characterize
+//     the representative with the closed-form kernels.
 // Grouping happens serially in lexicographic visit order, so members,
 // representatives and class order are byte-identical to the map-based
 // classifier for every thread count.
@@ -160,42 +160,10 @@ struct Hash128Key {
 /// (the old `static thread_local` pinned this memory to pool threads for
 /// the life of the process and leaked state across engines).
 struct Scratch {
-  std::vector<int> digits;               ///< odometer digits, per position.
-  std::vector<int> pos_radix;            ///< radix of each permuted position.
-  std::vector<std::int64_t> pos_weight;  ///< core-id weight of each position.
   std::vector<std::int64_t> placement;   ///< old core of each new rank.
   std::vector<std::int64_t> sig;         ///< canonical flattened signature.
   std::vector<std::int32_t> comm_order;  ///< comm block sort permutation.
 };
-
-/// Prime the odometer for `order`: position i (fastest-varying) holds the
-/// digit of level order[i], whose contribution to the old core id is
-/// digit * (leaves below that level).
-void init_walk(Scratch& s, const Hierarchy& h, const Order& order) {
-  const int depth = h.depth();
-  s.digits.assign(static_cast<std::size_t>(depth), 0);
-  s.pos_radix.resize(static_cast<std::size_t>(depth));
-  s.pos_weight.resize(static_cast<std::size_t>(depth));
-  for (int i = 0; i < depth; ++i) {
-    const int level = order[static_cast<std::size_t>(i)];
-    s.pos_radix[static_cast<std::size_t>(i)] = h.radix(level);
-    s.pos_weight[static_cast<std::size_t>(i)] = h.leaves_below(level + 1);
-  }
-}
-
-/// Advance the odometer by one new rank, returning the next old core id
-/// (amortised O(1): a carry into position k happens every prod-radix
-/// increments).
-std::int64_t advance_walk(Scratch& s, std::int64_t core) {
-  std::size_t i = 0;
-  while (s.digits[i] == s.pos_radix[i] - 1) {
-    core -= static_cast<std::int64_t>(s.digits[i]) * s.pos_weight[i];
-    s.digits[i] = 0;
-    ++i;
-  }
-  ++s.digits[i];
-  return core + s.pos_weight[i];
-}
 
 constexpr std::uint64_t kSaltLo = 0x8f9c3a5b1d2e4f60ull;
 constexpr std::uint64_t kSaltHi = 0x1b873593c2b2ae35ull;
@@ -206,18 +174,15 @@ constexpr std::uint64_t kSaltHi = 0x1b873593c2b2ae35ull;
 /// hashed commutatively (wrapping sums of mixed words), ordered structure
 /// with a chained mix — so no sorting is needed to canonicalise.
 Hash128 signature_hash(const Hierarchy& h, const Order& order,
-                       std::int64_t comm_size, Equivalence granularity,
-                       Scratch& s) {
-  init_walk(s, h, order);
+                       std::int64_t comm_size, Equivalence granularity) {
+  PlacementWalk walk(h, order);
   const std::int64_t ncomms = h.total() / comm_size;
   Hash128 sig;
-  std::int64_t core = 0;
   for (std::int64_t c = 0; c < ncomms; ++c) {
     std::uint64_t comm_lo = 0;
     std::uint64_t comm_hi = 0;
-    for (std::int64_t j = 0; j < comm_size; ++j) {
-      if (c != 0 || j != 0) core = advance_walk(s, core);
-      const auto word = static_cast<std::uint64_t>(core);
+    for (std::int64_t j = 0; j < comm_size; ++j, walk.next()) {
+      const auto word = static_cast<std::uint64_t>(walk.core());
       if (granularity == Equivalence::SameSetsOnly) {
         comm_lo += mix64(word ^ kSaltLo);  // member multiset: wrapping sum.
         comm_hi += mix64(word ^ kSaltHi);
@@ -249,12 +214,11 @@ void build_canonical_signature(const Hierarchy& h, const Order& order,
                                Scratch& s) {
   const std::int64_t total = h.total();
   const std::int64_t ncomms = total / comm_size;
-  init_walk(s, h, order);
+  PlacementWalk walk(h, order);
   s.placement.resize(static_cast<std::size_t>(total));
-  std::int64_t core = 0;
-  for (std::int64_t r = 0; r < total; ++r) {
-    if (r != 0) core = advance_walk(s, core);
-    s.placement[static_cast<std::size_t>(r)] = core;
+  for (std::int64_t& core : s.placement) {
+    core = walk.core();
+    walk.next();
   }
   if (granularity == Equivalence::SameSetsOnly) {
     for (std::int64_t c = 0; c < ncomms; ++c) {
@@ -299,19 +263,14 @@ std::vector<OrderClass> classify_hashed(Engine& engine, const Hierarchy& h,
                                         Equivalence granularity,
                                         unsigned workers,
                                         ClassifyStats* stats) {
-  const std::vector<Order> orders = all_orders_lexicographic(h.depth());
+  // Pass 2 moves every order out of this list into its class.
+  std::vector<Order> orders = all_orders_lexicographic(h.depth());
   const std::size_t norders = orders.size();
-
-  // Call-scoped scratch, one per fan_out_slots slot: freed when the
-  // classification returns, never pinned to pool threads or shared across
-  // engines.
-  std::vector<Scratch> scratch(workers);
 
   // Pass 1 (parallel): one 128-bit hash per order.
   std::vector<Hash128> hashes(norders);
-  fan_out_slots(engine, norders, workers, [&](unsigned slot, std::size_t i) {
-    hashes[i] = signature_hash(h, orders[i], comm_size, granularity,
-                               scratch[slot]);
+  fan_out(engine, norders, workers, [&](std::size_t i) {
+    hashes[i] = signature_hash(h, orders[i], comm_size, granularity);
   });
 
   // Group (serial, lexicographic visit order): members of each group stay
@@ -326,9 +285,17 @@ std::vector<OrderClass> classify_hashed(Engine& engine, const Hierarchy& h,
     groups[it->second].push_back(static_cast<std::uint32_t>(i));
   }
 
+  // Call-scoped scratch, one per fan_out_slots slot: freed when the
+  // classification returns, never pinned to pool threads or shared across
+  // engines.
+  std::vector<Scratch> scratch(workers);
+
   // Pass 2 (parallel over groups): verify each group against the real
   // signatures — splitting it if the hash ever merged distinct signatures
-  // — and characterize representatives via the closed-form kernels.
+  // — and characterize representatives via the closed-form kernels. Each
+  // order index sits in exactly one group, so each order is moved into its
+  // class exactly once, after its own signature is built, and no two
+  // groups touch the same order.
   std::vector<GroupResult> results(groups.size());
   const auto verify_group = [&](unsigned slot, std::size_t g) {
     const auto& members = groups[g];
@@ -340,7 +307,8 @@ std::vector<OrderClass> classify_hashed(Engine& engine, const Hierarchy& h,
     std::vector<std::vector<Order>> bucket_members;
     if (members.size() == 1) {
       // Nothing to merge, so nothing to verify.
-      bucket_members.push_back({orders[members.front()]});
+      bucket_members.emplace_back().push_back(
+          std::move(orders[members.front()]));
     } else {
       for (const std::uint32_t idx : members) {
         build_canonical_signature(h, orders[idx], comm_size, granularity, s);
@@ -354,9 +322,9 @@ std::vector<OrderClass> classify_hashed(Engine& engine, const Hierarchy& h,
         }
         if (bucket == bucket_sigs.size()) {
           bucket_sigs.push_back(s.sig);
-          bucket_members.emplace_back();
+          bucket_members.emplace_back().reserve(members.size());
         }
-        bucket_members[bucket].push_back(orders[idx]);
+        bucket_members[bucket].push_back(std::move(orders[idx]));
       }
       result.hash_collisions =
           static_cast<std::int64_t>(bucket_sigs.size()) - 1;

@@ -9,11 +9,11 @@ ReorderPlan::ReorderPlan(Hierarchy hierarchy, Order order)
   MR_EXPECT(static_cast<int>(order_.size()) == hierarchy_.depth(),
             "order length must equal hierarchy depth");
   MR_EXPECT(is_permutation_of_iota(order_), "order is not a permutation");
-  forward_ = reorder_all_ranks(hierarchy_, order_);
-  placement_.resize(forward_.size());
-  for (std::size_t old_rank = 0; old_rank < forward_.size(); ++old_rank) {
-    placement_[static_cast<std::size_t>(forward_[old_rank])] =
-        static_cast<std::int64_t>(old_rank);
+  placement_ = placement_of_new_ranks(hierarchy_, order_);
+  forward_.resize(placement_.size());
+  for (std::size_t new_rank = 0; new_rank < placement_.size(); ++new_rank) {
+    forward_[static_cast<std::size_t>(placement_[new_rank])] =
+        static_cast<std::int64_t>(new_rank);
   }
 }
 

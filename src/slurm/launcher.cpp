@@ -1,4 +1,4 @@
-#include <algorithm>
+#include <vector>
 
 #include "mixradix/mr/decompose.hpp"
 #include "mixradix/slurm/distribution.hpp"
@@ -34,9 +34,25 @@ NodeSlot node_slot(const MachineView& m, const Distribution& d, std::int64_t ran
   return {};
 }
 
-}  // namespace
+/// Global core hosting `rank` under `d`: the node policy picks the node
+/// and the node-local slot, the socket policy splits the slot into socket
+/// and core. Unchecked; callers validate with expect_layout first.
+std::int64_t core_of(const MachineView& m, const Distribution& d,
+                     std::int64_t rank) {
+  const NodeSlot ns = node_slot(m, d, rank);
+  std::int64_t socket = 0;
+  std::int64_t core = 0;
+  if (d.socket == SocketDist::Block) {
+    socket = ns.slot / m.cores_per_socket;
+    core = ns.slot % m.cores_per_socket;
+  } else {
+    socket = ns.slot % m.sockets_per_node;
+    core = ns.slot / m.sockets_per_node;
+  }
+  return ns.node * m.cores_per_node() + socket * m.cores_per_socket + core;
+}
 
-std::vector<std::int64_t> task_map(const MachineView& m, const Distribution& d) {
+void expect_layout(const MachineView& m, const Distribution& d) {
   MR_EXPECT(m.nodes >= 1 && m.sockets_per_node >= 1 && m.cores_per_socket >= 1,
             "machine view must be populated");
   if (d.node == NodeDist::Plane) {
@@ -45,30 +61,40 @@ std::vector<std::int64_t> task_map(const MachineView& m, const Distribution& d) 
     MR_EXPECT(m.cores_per_node() % d.plane_size == 0,
               "plane size must divide the cores per node for a full layout");
   }
+}
+
+/// Stream the placement walk of `order` rank by rank against every live
+/// candidate, dropping a candidate at its first mismatch and stopping once
+/// none is left. Returns the first candidate (in `candidates` order) whose
+/// task map equals the order's placement. The candidates must pass
+/// expect_layout on `m`, which must be the view of `h`.
+std::optional<Distribution> first_match(const Hierarchy& h, const Order& order,
+                                        const MachineView& m,
+                                        std::vector<Distribution> candidates) {
+  PlacementWalk walk(h, order);
   const std::int64_t total = m.total_cores();
-  std::vector<std::int64_t> map(static_cast<std::size_t>(total));
-  for (std::int64_t rank = 0; rank < total; ++rank) {
-    const NodeSlot ns = node_slot(m, d, rank);
-    std::int64_t socket = 0;
-    std::int64_t core = 0;
-    if (d.socket == SocketDist::Block) {
-      socket = ns.slot / m.cores_per_socket;
-      core = ns.slot % m.cores_per_socket;
-    } else {
-      socket = ns.slot % m.sockets_per_node;
-      core = ns.slot / m.sockets_per_node;
-    }
-    map[static_cast<std::size_t>(rank)] =
-        ns.node * m.cores_per_node() + socket * m.cores_per_socket + core;
+  for (std::int64_t rank = 0; rank < total && !candidates.empty();
+       ++rank, walk.next()) {
+    std::erase_if(candidates, [&](const Distribution& d) {
+      return core_of(m, d, rank) != walk.core();
+    });
+  }
+  if (candidates.empty()) return std::nullopt;
+  return candidates.front();
+}
+
+}  // namespace
+
+std::vector<std::int64_t> task_map(const MachineView& m, const Distribution& d) {
+  expect_layout(m, d);
+  std::vector<std::int64_t> map(static_cast<std::size_t>(m.total_cores()));
+  for (std::size_t rank = 0; rank < map.size(); ++rank) {
+    map[rank] = core_of(m, d, static_cast<std::int64_t>(rank));
   }
   return map;
 }
 
-std::optional<Distribution> equivalent_distribution(const Hierarchy& h,
-                                                    const Order& order) {
-  const MachineView m = MachineView::from_hierarchy(h);
-  const auto target = placement_of_new_ranks(h, order);
-
+std::vector<Distribution> candidate_distributions(const MachineView& m) {
   std::vector<Distribution> candidates;
   for (NodeDist nd : {NodeDist::Block, NodeDist::Cyclic}) {
     for (SocketDist sd : {SocketDist::Block, SocketDist::Cyclic}) {
@@ -80,18 +106,21 @@ std::optional<Distribution> equivalent_distribution(const Hierarchy& h,
       candidates.push_back(Distribution{NodeDist::Plane, SocketDist::Block, k});
     }
   }
-  for (const auto& d : candidates) {
-    if (task_map(m, d) == target) return d;
-  }
-  return std::nullopt;
+  return candidates;
+}
+
+std::optional<Distribution> equivalent_distribution(const Hierarchy& h,
+                                                    const Order& order) {
+  const MachineView m = MachineView::from_hierarchy(h);
+  return first_match(h, order, m, candidate_distributions(m));
 }
 
 std::optional<Order> equivalent_order(const Hierarchy& h, const Distribution& d) {
   const MachineView m = MachineView::from_hierarchy(h);
-  const auto target = task_map(m, d);
+  expect_layout(m, d);
   std::optional<Order> found;
   for_each_order(h.depth(), [&](const Order& order) {
-    if (placement_of_new_ranks(h, order) == target) {
+    if (first_match(h, order, m, {d})) {
       found = order;
       return false;
     }

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
 #include <tuple>
 
 #include "mixradix/mr/permutation.hpp"
+#include "mixradix/slurm/distribution.hpp"
+#include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
 #include "mixradix/util/prng.hpp"
+#include "placement_oracle.hpp"
 
 namespace mr {
 namespace {
@@ -179,6 +184,84 @@ TEST_P(DecomposeProperty, RandomHierarchyRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecomposeProperty,
                          ::testing::Range<std::uint64_t>(1, 33));
+
+// The placement walk against its definition, the inverse of
+// reorder_all_ranks, for every order of `h`; the walk also ends one past
+// the last rank.
+void expect_walk_matches_oracle(const Hierarchy& h) {
+  for (const Order& order : all_orders_lexicographic(h.depth())) {
+    const auto expected = testing::oracle_placement(h, order);
+    ASSERT_EQ(placement_of_new_ranks(h, order), expected)
+        << h.to_string() << " order " << order_to_string(order);
+    PlacementWalk walk(h, order);
+    for (std::int64_t r = 0; r < h.total(); ++r, walk.next()) {
+      ASSERT_EQ(walk.core(), expected[static_cast<std::size_t>(r)]);
+    }
+    ASSERT_EQ(walk.core(), h.total());
+  }
+}
+
+TEST(PlacementWalk, MatchesOracleOnPaperHierarchies) {
+  expect_walk_matches_oracle(Hierarchy{2, 2, 4});  // Table 1, Figs. 1-2
+  expect_walk_matches_oracle(topo::hydra(16).hierarchy());
+  expect_walk_matches_oracle(topo::lumi(16).hierarchy());
+}
+
+// Seeded hierarchies of every depth 1..8 (two per depth below 8); deep ones
+// stay small enough that all depth! orders are checked, which pins depth 8
+// to [2, 2, 2, 2, 2, 2, 2, 2].
+class PlacementWalkProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(PlacementWalkProperty, MatchesOracleOnRandomHierarchy) {
+  util::Xoshiro256 rng(GetParam());
+  const int depth = 1 + static_cast<int>(GetParam() % 8);
+  const std::int64_t cap = depth >= 7 ? 256 : 4096;
+  std::vector<int> radices;
+  std::int64_t total = 1;
+  for (int i = 0; i < depth; ++i) {
+    int radix = 2 + static_cast<int>(rng.next_below(5));
+    if (total * radix * (std::int64_t{1} << (depth - 1 - i)) > cap) radix = 2;
+    radices.push_back(radix);
+    total *= radix;
+  }
+  expect_walk_matches_oracle(Hierarchy(radices));
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, PlacementWalkProperty,
+                         ::testing::Range<std::uint64_t>(0, 15));
+
+std::string thrown_message(const std::function<void()>& fn) {
+  try {
+    fn();
+  } catch (const invalid_argument& e) {
+    return e.what();
+  }
+  return "(nothing thrown)";
+}
+
+// Malformed orders are rejected once, up front, with the located message
+// compose() gives the oracle.
+TEST(PlacementWalk, MalformedOrdersThrowLocatedMessages) {
+  const Hierarchy h{2, 2, 4};
+  const std::pair<Order, const char*> cases[] = {
+      {{0, 1}, "order length must equal hierarchy depth"},
+      {{0, 1, 2, 0}, "order length must equal hierarchy depth"},
+      {{0, 3, 1}, "order entry out of range"},
+      {{0, -1, 2}, "order entry out of range"},
+      {{1, 0, 1}, "order is not a permutation"},
+  };
+  for (const auto& [order, text] : cases) {
+    const std::string oracle =
+        thrown_message([&] { reorder_all_ranks(h, order); });
+    EXPECT_NE(oracle.find("decompose.cpp:"), std::string::npos) << oracle;
+    EXPECT_NE(oracle.find(text), std::string::npos) << oracle;
+    EXPECT_EQ(thrown_message([&] { placement_of_new_ranks(h, order); }), oracle);
+    EXPECT_EQ(thrown_message([&] { PlacementWalk walk(h, order); }), oracle);
+    EXPECT_EQ(
+        thrown_message([&] { slurm::equivalent_distribution(h, order); }),
+        oracle);
+  }
+}
 
 }  // namespace
 }  // namespace mr

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include "mixradix/mr/decompose.hpp"
+#include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
+#include "placement_oracle.hpp"
 
 namespace mr::slurm {
 namespace {
@@ -158,6 +160,83 @@ TEST(TaskMap, EveryDistributionIsAPermutation) {
       ASSERT_EQ(map[static_cast<std::size_t>(i)], i) << d.to_string();
     }
   }
+}
+
+
+TEST(CandidateDistributions, BlockCyclicThenDividingPlanes) {
+  std::string listed;
+  for (const auto& d : candidate_distributions(MachineView{2, 2, 4})) {
+    listed += d.to_string() + " ";
+  }
+  EXPECT_EQ(listed, "block:block block:cyclic cyclic:block cyclic:cyclic "
+                    "plane=2 plane=4 ");
+}
+
+// The streamed early-exit matcher against a full scan (whole task maps
+// compared with the oracle placement) over the same candidate list, for
+// every order: Fig. 2's machine, the paper presets, and the seven depth-7
+// listing hierarchies (six binary levels and one 4-way level).
+class StreamedMatch : public ::testing::TestWithParam<std::vector<int>> {};
+
+TEST_P(StreamedMatch, EquivalentDistributionEqualsFullScan) {
+  const Hierarchy h(GetParam());
+  std::int64_t found = 0;
+  for (const Order& order : all_orders_lexicographic(h.depth())) {
+    const auto expected = mr::testing::oracle_distribution(
+        h, mr::testing::oracle_placement(h, order));
+    const auto got = equivalent_distribution(h, order);
+    ASSERT_EQ(got.has_value(), expected.has_value())
+        << h.to_string() << " order " << order_to_string(order);
+    if (got) {
+      ASSERT_EQ(*got, *expected)
+          << h.to_string() << " order " << order_to_string(order);
+      ++found;
+    }
+  }
+  EXPECT_GT(found, 0);
+}
+
+TEST_P(StreamedMatch, EquivalentOrderEqualsFullScan) {
+  const Hierarchy h(GetParam());
+  const auto view = MachineView::from_hierarchy(h);
+  const auto orders = all_orders_lexicographic(h.depth());
+  std::vector<std::vector<std::int64_t>> placements;
+  for (const Order& order : orders) {
+    placements.push_back(mr::testing::oracle_placement(h, order));
+  }
+  for (const auto& d : candidate_distributions(view)) {
+    const auto map = task_map(view, d);
+    std::optional<Order> expected;
+    for (std::size_t i = 0; i < orders.size() && !expected; ++i) {
+      if (placements[i] == map) expected = orders[i];
+    }
+    EXPECT_EQ(equivalent_order(h, d), expected) << d.to_string();
+  }
+}
+
+std::vector<std::vector<int>> streamed_match_hierarchies() {
+  std::vector<std::vector<int>> out = {
+      {2, 2, 4},  // Fig. 2, including the "Not possible" [1,0,2]
+      topo::hydra(16).hierarchy().radices(),
+      topo::lumi(16).hierarchy().radices()};
+  for (std::size_t wide = 0; wide < 7; ++wide) {
+    std::vector<int> radices(7, 2);
+    radices[wide] = 4;
+    out.push_back(radices);
+  }
+  return out;
+}
+
+INSTANTIATE_TEST_SUITE_P(Hierarchies, StreamedMatch,
+                         ::testing::ValuesIn(streamed_match_hierarchies()));
+
+TEST(StreamedMatch, Fig2NotPossibleOrderHasNoCandidate) {
+  const Hierarchy h{2, 2, 4};
+  const Order order = parse_order("1-0-2");
+  EXPECT_FALSE(mr::testing::oracle_distribution(
+                   h, mr::testing::oracle_placement(h, order))
+                   .has_value());
+  EXPECT_FALSE(equivalent_distribution(h, order).has_value());
 }
 
 }  // namespace
