@@ -18,10 +18,18 @@
 // Time advances on a virtual clock: a flow stores the absolute deadline at
 // which it completes under its current rate, recomputed only when that rate
 // actually changes, so advance_to() never touches per-flow state and the
-// next completion comes from a lazy min-heap over deadlines instead of an
-// O(active-flows) scan per event. A reference mode (incremental = false)
-// keeps the scan for benchmarking; both modes evaluate the exact same
-// floating-point expressions and are bit-identical.
+// next completion comes from a lower-bound min-heap over deadlines instead
+// of an O(active-flows) scan per event. Each flow has a key entry in the
+// heap keyed at most at its deadline: an earlier deadline pushes a new key
+// entry, a later one (a rate cut, as every steal victim gets) keeps the old
+// one, which is re-keyed to the current deadline when it surfaces. A
+// reference mode (incremental = false) keeps the scan for benchmarking; both
+// modes evaluate the exact same floating-point expressions and are
+// bit-identical.
+//
+// Each channel keeps one lazily compacted list of the flows crossing it;
+// the deferred-allocation steal and the exact progressive filling both walk
+// it, so a full recompute builds no flow lists of its own.
 #pragma once
 
 #include <array>
@@ -147,7 +155,15 @@ class FlowSim {
   /// Install a new rate for flow `index`: sync its remaining bytes to the
   /// current clock, project the new absolute deadline, index it.
   void assign_rate(std::size_t index, double rate);
+  /// Index flow `index` at its deadline (rebuilding a stale or bloated
+  /// heap wholesale); in the scan regime only marks the heap stale.
   void heap_push(std::size_t index);
+  /// Push an entry at flow `index`'s deadline and make it the key entry.
+  void heap_insert(std::size_t index);
+  void heap_pop();
+  /// A popped entry of live flow `index` keyed at `popped` was not due: if
+  /// it was the flow's key entry, push the flow again at its deadline.
+  void heap_rekey(std::size_t index, double popped);
 
   /// Pop batches between forced exact recomputations in deferred mode.
   static constexpr int kMaxDeferredBatches = 128;
@@ -171,6 +187,9 @@ class FlowSim {
   std::vector<std::int64_t> user_;
   std::vector<std::int64_t> ext_id_;
   std::vector<ChanSet> chans_;
+  // Key of the flow's key heap entry, at most its deadline (+inf while it
+  // has none); meaningful only while heap_live_.
+  std::vector<double> heap_key_;
 
   // External id -> (active index + 1), 0 when gone; plus last known rate.
   std::vector<std::int64_t> ext_index_;
@@ -183,12 +202,14 @@ class FlowSim {
   int batches_since_full_ = 0;
   Stats stats_;
 
-  // Lazy completion index: every deadline change pushes a (deadline, ext)
-  // entry; stale entries (flow gone, or deadline since changed) are
-  // discarded on pop. Unused in reference mode and below kScanFlows;
-  // heap_live_ records whether the heap currently covers every active
-  // flow (pushes are suppressed in the scan regime, so the first push
-  // back in the many-flow regime rebuilds it wholesale).
+  // Lower-bound completion index: every live flow has a (key, ext) entry
+  // keyed at most at its deadline. Only an earlier deadline pushes; a
+  // surfacing key entry whose flow is not due is re-keyed to the current
+  // deadline, and entries of gone flows or superseded keys are dropped.
+  // Unused in reference mode and below kScanFlows; heap_live_ records
+  // whether the heap currently covers every active flow (pushes are
+  // suppressed in the scan regime, so the first push back in the many-flow
+  // regime rebuilds it wholesale).
   struct HeapEntry {
     double deadline;
     std::int64_t ext;
@@ -203,6 +224,8 @@ class FlowSim {
   std::vector<double> freed_;
   /// Lazily-compacted per-channel lists of flow EXTERNAL ids (stable across
   /// the swap-removal of active slots); dead entries are skipped/purged.
+  /// The steal's victim scan and the exact filling's freeze loop both walk
+  /// them; nflows_ counts each list's live entries.
   std::vector<std::vector<std::int64_t>> by_channel_;
 
   // Scratch (persistent capacity, reset per recompute).
@@ -210,7 +233,6 @@ class FlowSim {
   std::vector<std::int32_t> load_;
   std::vector<double> newrate_;
   std::vector<ChannelId> touched_;
-  std::vector<std::vector<std::int32_t>> flows_on_;  ///< active indices.
   std::vector<ChannelId> touched_scan_;
 };
 

@@ -13,7 +13,10 @@ namespace {
 constexpr double kTimeEpsilon = 1e-15;
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-bool heap_later(const double a, const double b) { return a > b; }
+// Min-heap order over HeapEntry deadlines for the std heap algorithms.
+constexpr auto heap_later = [](const auto& a, const auto& b) {
+  return a.deadline > b.deadline;
+};
 }  // namespace
 
 FlowSim::FlowSim(std::vector<double> capacities, double completion_slack) {
@@ -34,7 +37,6 @@ void FlowSim::reset(const std::vector<double>& capacities,
   const std::size_t nc = capacities_.size();
   residual_.resize(nc);
   load_.assign(nc, 0);
-  flows_on_.resize(nc);
   used_.assign(nc, 0.0);
   nflows_.assign(nc, 0);
   freed_.assign(nc, 0.0);
@@ -50,6 +52,7 @@ void FlowSim::reset(const std::vector<double>& capacities,
   user_.clear();
   ext_id_.clear();
   chans_.clear();
+  heap_key_.clear();
   ext_index_.clear();
   ext_rate_.clear();
   heap_.clear();
@@ -74,7 +77,11 @@ void FlowSim::assign_rate(std::size_t index, double rate) {
   rate_[index] = rate;
   deadline_[index] =
       std::isinf(rate) ? now_ : now_ + remaining_[index] / rate;
-  if (incremental_) heap_push(index);
+  // A later deadline (every steal victim's) keeps the flow's earlier heap
+  // entry: it is still a lower bound, re-keyed when it surfaces.
+  if (incremental_ && (!heap_live_ || deadline_[index] < heap_key_[index])) {
+    heap_push(index);
+  }
 }
 
 void FlowSim::heap_push(std::size_t index) {
@@ -90,18 +97,31 @@ void FlowSim::heap_push(std::size_t index) {
   if (!heap_live_ || heap_.size() > 4 * remaining_.size() + 64) {
     heap_.clear();
     for (std::size_t i = 0; i < remaining_.size(); ++i) {
+      heap_key_[i] = deadline_[i];
       if (deadline_[i] < kInf) heap_.push_back({deadline_[i], ext_id_[i]});
     }
-    std::make_heap(heap_.begin(), heap_.end(), [](const auto& a, const auto& b) {
-      return heap_later(a.deadline, b.deadline);
-    });
+    std::make_heap(heap_.begin(), heap_.end(), heap_later);
     heap_live_ = true;
     return;  // `index` is live, so the rebuild already indexed it
   }
+  heap_insert(index);
+}
+
+void FlowSim::heap_insert(std::size_t index) {
+  heap_key_[index] = deadline_[index];
   heap_.push_back({deadline_[index], ext_id_[index]});
-  std::push_heap(heap_.begin(), heap_.end(), [](const auto& a, const auto& b) {
-    return heap_later(a.deadline, b.deadline);
-  });
+  std::push_heap(heap_.begin(), heap_.end(), heap_later);
+}
+
+void FlowSim::heap_pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), heap_later);
+  heap_.pop_back();
+}
+
+void FlowSim::heap_rekey(std::size_t index, double popped) {
+  // Only the flow's key entry moves to its deadline; an older entry above
+  // the key is stale and simply dropped.
+  if (heap_key_[index] == popped) heap_insert(index);
 }
 
 std::int64_t FlowSim::add_flow(std::vector<ChannelId> channels, double bytes,
@@ -133,6 +153,7 @@ std::int64_t FlowSim::add_interned(const ChanSet& channels, double bytes,
   user_.push_back(user);
   ext_id_.push_back(ext);
   chans_.push_back(channels);
+  heap_key_.push_back(kInf);
   stats_.peak_active_flows =
       std::max(stats_.peak_active_flows,
                static_cast<std::int64_t>(remaining_.size()));
@@ -244,7 +265,9 @@ void FlowSim::recompute_rates() {
   rates_dirty_ = false;
   const std::size_t n = remaining_.size();
 
-  // Per-channel load and flow lists.
+  // Touched channels in first-touch order over the active slots (the order
+  // decides, under the slack bound, which channels freeze at each level),
+  // each loaded with its active flow count.
   touched_.clear();
   for (std::size_t i = 0; i < n; ++i) {
     const ChanSet& set = chans_[i];
@@ -252,11 +275,9 @@ void FlowSim::recompute_rates() {
       const auto ci = static_cast<std::size_t>(set.ids[static_cast<std::size_t>(k)]);
       if (load_[ci] == 0) {
         touched_.push_back(set.ids[static_cast<std::size_t>(k)]);
-        flows_on_[ci].clear();
+        load_[ci] = nflows_[ci];
         residual_[ci] = capacities_[ci];
       }
-      ++load_[ci];
-      flows_on_[ci].push_back(static_cast<std::int32_t>(i));
     }
   }
 
@@ -304,8 +325,12 @@ void FlowSim::recompute_rates() {
     for (ChannelId c : alive) {
       const auto ci = static_cast<std::size_t>(c);
       if (load_[ci] == 0 || residual_[ci] / load_[ci] > bound) continue;
-      for (std::int32_t fi : flows_on_[ci]) {
-        const auto f = static_cast<std::size_t>(fi);
+      // Every flow frozen in this pass gets the same s, so the order of
+      // the channel's list does not matter.
+      for (std::int64_t ext : by_channel_[ci]) {
+        const std::int64_t slot = ext_index_[static_cast<std::size_t>(ext)];
+        if (slot == 0) continue;  // completed
+        const auto f = static_cast<std::size_t>(slot - 1);
         if (newrate_[f] >= 0) continue;  // already frozen
         newrate_[f] = s;
         --unfrozen;
@@ -316,6 +341,7 @@ void FlowSim::recompute_rates() {
           residual_[c2i] = std::max(0.0, residual_[c2i] - s);
           --load_[c2i];
         }
+        if (load_[ci] == 0) break;  // the rest are frozen or completed
       }
     }
   }
@@ -361,10 +387,8 @@ std::optional<double> FlowSim::next_completion_time() {
         deadline_[static_cast<std::size_t>(slot - 1)] == top.deadline) {
       return std::max(now_, top.deadline);
     }
-    std::pop_heap(heap_.begin(), heap_.end(), [](const auto& a, const auto& b) {
-      return heap_later(a.deadline, b.deadline);
-    });
-    heap_.pop_back();
+    heap_pop();
+    if (slot != 0) heap_rekey(static_cast<std::size_t>(slot - 1), top.deadline);
   }
   MR_ASSERT_INTERNAL(false);  // every active flow has a live heap entry
   return std::nullopt;
@@ -410,6 +434,7 @@ void FlowSim::remove_active(std::size_t index) {
     user_[index] = user_[last];
     ext_id_[index] = ext_id_[last];
     chans_[index] = chans_[last];
+    heap_key_[index] = heap_key_[last];
     ext_index_[static_cast<std::size_t>(ext_id_[index])] =
         static_cast<std::int64_t>(index) + 1;
   }
@@ -419,6 +444,7 @@ void FlowSim::remove_active(std::size_t index) {
   user_.pop_back();
   ext_id_.pop_back();
   chans_.pop_back();
+  heap_key_.pop_back();
 }
 
 std::vector<Completion> FlowSim::advance_and_pop() {
@@ -440,22 +466,24 @@ std::vector<Completion> FlowSim::advance_and_pop() {
       if (deadline_[i] <= threshold) batch_.push_back(i);
     }
   } else {
-    auto later = [](const HeapEntry& a, const HeapEntry& b) {
-      return heap_later(a.deadline, b.deadline);
-    };
+    // Every flow due by `threshold` has an entry keyed at or below it, so
+    // it surfaces here; a key entry whose flow is not due yet is re-keyed
+    // to the flow's deadline, above the threshold.
     while (!heap_.empty() && heap_.front().deadline <= threshold) {
       const HeapEntry top = heap_.front();
-      std::pop_heap(heap_.begin(), heap_.end(), later);
-      heap_.pop_back();
+      heap_pop();
       const std::int64_t slot = ext_index_[static_cast<std::size_t>(top.ext)];
-      if (slot != 0 &&
-          deadline_[static_cast<std::size_t>(slot - 1)] == top.deadline) {
-        batch_.push_back(static_cast<std::size_t>(slot - 1));
+      if (slot == 0) continue;  // completed
+      const auto f = static_cast<std::size_t>(slot - 1);
+      if (deadline_[f] <= threshold) {
+        batch_.push_back(f);
+      } else {
+        heap_rekey(f, top.deadline);
       }
     }
     // Match the reference scan bit for bit: complete in descending slot
     // order (this is also what makes the interleaved swap-removal safe),
-    // one completion per flow even if its deadline was re-pushed.
+    // one completion per flow even if it surfaced through several entries.
     std::sort(batch_.begin(), batch_.end(), std::greater<>{});
     batch_.erase(std::unique(batch_.begin(), batch_.end()), batch_.end());
   }

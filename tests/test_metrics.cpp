@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
+#include <string>
 
 #include "mixradix/util/expect.hpp"
 #include "mixradix/util/prng.hpp"
@@ -72,14 +74,30 @@ struct LegendCase {
   const char* legend;  // exact paper text: "order (ring - pcts)"
 };
 
+/// The legend's order, e.g. "3-1-0-2".
+std::string legend_order(const LegendCase& c) {
+  const std::string text = c.legend;
+  return text.substr(0, text.find(' '));
+}
+
+// Test ids name a case by its order, not by the struct's bytes (which hold
+// string-literal addresses and change from one build to the next): the
+// printer feeds the ctest id, the name generator the gtest name.
+void PrintTo(const LegendCase& c, std::ostream* os) { *os << legend_order(c); }
+
+std::string legend_name(const ::testing::TestParamInfo<LegendCase>& info) {
+  std::string name = legend_order(info.param);
+  std::erase(name, '-');
+  return name;
+}
+
 class FigureLegends : public ::testing::TestWithParam<LegendCase> {};
 
 TEST_P(FigureLegends, MatchesPaper) {
   const auto& p = GetParam();
-  const std::string text = p.legend;
-  const Order order = parse_order(text.substr(0, text.find(' ')));
+  const Order order = parse_order(legend_order(p));
   const auto character = characterize_order(p.hierarchy, order, p.comm_size);
-  EXPECT_EQ(character.to_string(), text) << "figure " << p.figure;
+  EXPECT_EQ(character.to_string(), p.legend) << "figure " << p.figure;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -90,7 +108,8 @@ INSTANTIATE_TEST_SUITE_P(
         LegendCase{"3", hydra16(), 16, "1-3-0-2 (45 - 46.7, 0.0, 53.3, 0.0)"},
         LegendCase{"3", hydra16(), 16, "1-3-2-0 (45 - 46.7, 0.0, 53.3, 0.0)"},
         LegendCase{"3", hydra16(), 16, "3-1-0-2 (17 - 46.7, 0.0, 53.3, 0.0)"},
-        LegendCase{"3", hydra16(), 16, "3-2-1-0 (16 - 46.7, 53.3, 0.0, 0.0)"}));
+        LegendCase{"3", hydra16(), 16, "3-2-1-0 (16 - 46.7, 53.3, 0.0, 0.0)"}),
+    legend_name);
 
 INSTANTIATE_TEST_SUITE_P(
     Fig4AlltoallHydraComm128, FigureLegends,
@@ -100,7 +119,8 @@ INSTANTIATE_TEST_SUITE_P(
         LegendCase{"4", hydra16(), 128, "1-3-0-2 (388 - 5.5, 0.0, 6.3, 88.2)"},
         LegendCase{"4", hydra16(), 128, "3-1-0-2 (164 - 5.5, 0.0, 6.3, 88.2)"},
         LegendCase{"4", hydra16(), 128, "1-3-2-0 (384 - 5.5, 6.3, 12.6, 75.6)"},
-        LegendCase{"4", hydra16(), 128, "3-2-1-0 (152 - 5.5, 6.3, 12.6, 75.6)"}));
+        LegendCase{"4", hydra16(), 128, "3-2-1-0 (152 - 5.5, 6.3, 12.6, 75.6)"}),
+    legend_name);
 
 INSTANTIATE_TEST_SUITE_P(
     Fig5AlltoallLumiComm16, FigureLegends,
@@ -109,7 +129,8 @@ INSTANTIATE_TEST_SUITE_P(
         LegendCase{"5", lumi16(), 16, "1-2-3-0-4 (60 - 0.0, 6.7, 40.0, 53.3, 0.0)"},
         LegendCase{"5", lumi16(), 16, "3-2-1-4-0 (38 - 0.0, 6.7, 40.0, 53.3, 0.0)"},
         LegendCase{"5", lumi16(), 16, "3-4-0-1-2 (30 - 46.7, 53.3, 0.0, 0.0, 0.0)"},
-        LegendCase{"5", lumi16(), 16, "4-3-2-1-0 (16 - 46.7, 53.3, 0.0, 0.0, 0.0)"}));
+        LegendCase{"5", lumi16(), 16, "4-3-2-1-0 (16 - 46.7, 53.3, 0.0, 0.0, 0.0)"}),
+    legend_name);
 
 INSTANTIATE_TEST_SUITE_P(
     Fig6AllreduceHydraComm64, FigureLegends,
@@ -119,7 +140,8 @@ INSTANTIATE_TEST_SUITE_P(
         LegendCase{"6", hydra16(), 64, "1-3-0-2 (192 - 11.1, 0.0, 12.7, 76.2)"},
         LegendCase{"6", hydra16(), 64, "3-1-0-2 (80 - 11.1, 0.0, 12.7, 76.2)"},
         LegendCase{"6", hydra16(), 64, "1-3-2-0 (190 - 11.1, 12.7, 25.4, 50.8)"},
-        LegendCase{"6", hydra16(), 64, "3-2-1-0 (74 - 11.1, 12.7, 25.4, 50.8)"}));
+        LegendCase{"6", hydra16(), 64, "3-2-1-0 (74 - 11.1, 12.7, 25.4, 50.8)"}),
+    legend_name);
 
 INSTANTIATE_TEST_SUITE_P(
     Fig7AllgatherLumiComm256, FigureLegends,
@@ -128,7 +150,8 @@ INSTANTIATE_TEST_SUITE_P(
         LegendCase{"7", lumi16(), 256, "1-2-3-0-4 (1035 - 0.0, 0.4, 2.4, 3.1, 94.1)"},
         LegendCase{"7", lumi16(), 256, "3-4-0-1-2 (555 - 2.7, 3.1, 0.0, 0.0, 94.1)"},
         LegendCase{"7", lumi16(), 256, "3-2-1-4-0 (669 - 2.7, 3.1, 18.8, 25.1, 50.2)"},
-        LegendCase{"7", lumi16(), 256, "4-3-2-1-0 (305 - 2.7, 3.1, 18.8, 25.1, 50.2)"}));
+        LegendCase{"7", lumi16(), 256, "4-3-2-1-0 (305 - 2.7, 3.1, 18.8, 25.1, 50.2)"}),
+    legend_name);
 
 TEST(PairPercentages, SumToOneHundred) {
   const Hierarchy h = hydra16();

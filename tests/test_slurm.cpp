@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <string>
+
 #include "mixradix/mr/decompose.hpp"
 #include "mixradix/topo/presets.hpp"
 #include "mixradix/util/expect.hpp"
@@ -66,6 +69,17 @@ struct Fig2Row {
   const char* distribution;  // nullptr = "Not possible"
 };
 
+// Test ids name a row by its order, not by the struct's bytes (which are
+// string-literal addresses and change from one build to the next): the
+// printer feeds the ctest id, the name generator the gtest name.
+void PrintTo(const Fig2Row& row, std::ostream* os) { *os << row.order; }
+
+std::string fig2_row_name(const ::testing::TestParamInfo<Fig2Row>& info) {
+  std::string name = info.param.order;
+  std::erase(name, '-');
+  return name;
+}
+
 class Fig2 : public ::testing::TestWithParam<Fig2Row> {};
 
 TEST_P(Fig2, DistributionEquivalence) {
@@ -98,7 +112,8 @@ INSTANTIATE_TEST_SUITE_P(
                       Fig2Row{"1-0-2", nullptr},  // "Not possible"
                       Fig2Row{"1-2-0", "block:cyclic"},
                       Fig2Row{"2-0-1", "plane=4"},
-                      Fig2Row{"2-1-0", "block:block"}));
+                      Fig2Row{"2-1-0", "block:block"}),
+    fig2_row_name);
 
 // Fig. 2's full reordered-rank layouts, read row by row off the figure:
 // position = physical core (node-major), value = reordered rank.
