@@ -132,7 +132,8 @@ inline void print_engine_counters(std::ostream& os,
   os << "engine: " << engine.events_processed << " events ("
      << engine.peak_event_queue << " peak queue), "
      << result.total_flow_events << " flow completions ("
-     << result.flow_stats.peak_active_flows << " peak active flows), routes: "
+     << result.flow_stats.peak_active_flows << " peak active flows, "
+     << result.flow_stats.steals << " steals), routes: "
      << engine.route_cache_hits << " hits / " << engine.route_cache_misses
      << " misses";
   if (lookups > 0) {

@@ -186,6 +186,7 @@ int main(int argc, char** argv) {
        << ",\n"
        << "  \"peak_active_flows\": " << warm.flow_stats.peak_active_flows
        << ",\n"
+       << "  \"steals\": " << warm.flow_stats.steals << ",\n"
        << "  \"route_cache_hits\": " << warm.engine_stats.route_cache_hits
        << ",\n"
        << "  \"route_cache_misses\": " << warm.engine_stats.route_cache_misses

@@ -121,14 +121,39 @@ int main(int argc, char** argv) {
       std::cout << "--cpu-bind=" << map_cpu_string(select_cores(h, order, n))
                 << "\n";
     } else if (command == "orders") {
+      // h! overflows 64 bits past depth 20, and a shard of more than 9!
+      // lines is a runaway listing rather than a query: refuse both before
+      // anything is listed.
+      constexpr int kMaxDepth = 20;
+      constexpr long long kMaxLines = 362880;  // 9!
+      if (h.depth() > kMaxDepth) {
+        std::cerr << "error: --hierarchy " << flag("hierarchy", "")
+                  << " has " << h.depth() << " levels; " << h.depth()
+                  << "! orders overflow 64 bits (at most " << kMaxDepth
+                  << " levels)\n";
+        return 2;
+      }
       const std::int64_t comm_size =
           std::stoll(flag("comm-size", std::to_string(h.total()).c_str()));
       const MetricsImpl impl = parse_metrics_impl(flag("metrics", "fast"));
       const auto [shard, nshards] = parse_shard(flag("shard", "0/1"));
+      const long long orders = factorial(h.depth());
+      const long long lines =
+          shard >= orders ? 0 : (orders - shard - 1) / nshards + 1;
+      if (lines > kMaxLines) {
+        std::cerr << "error: --hierarchy " << flag("hierarchy", "") << " has "
+                  << orders << " orders (" << h.depth() << "!); shard " << shard
+                  << "/" << nshards << " would list " << lines
+                  << " of them, above the limit of " << kMaxLines
+                  << " (9!) lines per shard; split the listing with --shard "
+                     "i/n, n >= "
+                  << (orders + kMaxLines - 1) / kMaxLines << "\n";
+        return 2;
+      }
       // Unrank each of this shard's lexicographic positions directly — a
       // shard never materialises (or even iterates) the other n-1 shards,
       // so n workers splitting an h! enumeration each do 1/n of the work.
-      for (long long idx = shard; idx < factorial(h.depth()); idx += nshards) {
+      for (long long idx = shard; idx < orders; idx += nshards) {
         const Order order = nth_order_lexicographic(h.depth(), idx);
         const auto ch = characterize_order(h, order, comm_size, impl);
         const auto dist = slurm::equivalent_distribution(h, order);

@@ -72,6 +72,7 @@ class FlowSim {
   struct Stats {
     std::int64_t deferred_allocations = 0;  ///< defer fast-path successes.
     std::int64_t deferred_rejections = 0;   ///< fast path fell through to exact.
+    std::int64_t steals = 0;                ///< fair shares taken from victims.
     std::int64_t full_recomputes = 0;       ///< exact progressive-filling passes.
     std::int64_t pop_batches = 0;           ///< advance_and_pop() batches.
     std::int64_t peak_active_flows = 0;     ///< high-water mark of active flows.

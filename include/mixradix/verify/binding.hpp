@@ -153,17 +153,24 @@ std::string channel_name(const topo::Machine& machine, simnet::ChannelId id);
 
 // ---- The bound kernel's reusable workspace ---------------------------------
 //
-// The critical-path DP's control flow depends only on each job's plan: its
+// A message's route is fixed by its divergence level fd, the outermost
+// level where its endpoints' components differ, so the route facts the
+// check and the bound read (latency, bottleneck capacity, channel count,
+// too-deep flag) form one per-machine table indexed by fd. The
+// critical-path DP's control flow depends only on each job's plan: its
 // PlanExec carries one repetition's topological visit order, which the
-// kernel replays once per repetition, job by job, over flat buffers.
-// Every DP step is a max, a min, a `+` of fixed operands or an exact int64
-// sum, so ANY topological order yields the same doubles bit for bit
-// (DESIGN.md §15). What remains per binding is the core-range check and
-// one memoized route lookup per message.
+// kernel replays once per repetition over flat buffers, once per job
+// SHAPE (plan, repetitions, start time, per-message fd sequence) — the
+// concurrent jobs of one point are usually translates of one another.
+// Channel serialization keeps each rank's earliest entry and total bytes
+// per fd and folds them into the egress, ingress and memory channels of
+// its components. Every step is a max, a min, a `+` of fixed operands or
+// an exact int64 sum over the same operands as a per-message, per-channel
+// walk, so the result is the same bit for bit (DESIGN.md §12, §15).
 
-/// Scratch of the bound kernel for one machine: memoized route facts per
-/// core pair, the machine's channel capacities, and the DP buffers. Reuse
-/// across calls is what makes a bound cheap. Not thread-safe: one per
+/// Scratch of the bound kernel for one machine: the per-level route table,
+/// the machine's channel capacities, the job shapes and the DP buffers.
+/// Reuse across calls is what makes a bound cheap. Not thread-safe: one per
 /// thread (tune gives each pool slot its own for the whole query). The
 /// machine must outlive the workspace.
 class Workspace {
@@ -185,7 +192,7 @@ class Workspace {
 
 /// Equivalent to analyze_jobs(workspace.machine(), jobs, {load_report =
 /// false}) — a bit-identical Result — computed in a reusable workspace. A
-/// clean binding costs the core and route checks plus one kernel pass; any
+/// clean binding costs the core and fd checks plus one kernel pass; any
 /// finding (error or warning) re-runs the full analysis for its located
 /// diagnostics.
 Result analyze_jobs(Workspace& workspace, const std::vector<JobBinding>& jobs);

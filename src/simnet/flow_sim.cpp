@@ -256,6 +256,7 @@ bool FlowSim::steal_allocation(std::size_t index, double fair) {
     used_[ci] += fair;
     freed_[ci] = std::max(0.0, freed_[ci] - fair);
   }
+  ++stats_.steals;
   return true;
 }
 

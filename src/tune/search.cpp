@@ -207,8 +207,8 @@ std::vector<TuneCandidate> dedup_candidates(Engine& engine, const Hierarchy& h,
 /// Stage-2 admissible bound of one candidate: per-point static lower bounds
 /// (deflated for the simulated slack), summed — a lower bound on the
 /// candidate's score because the score is the sum of point makespans. The
-/// caller's pool slot owns `workspace` for the whole stage, so routes are
-/// derived once per core pair per query and the kernel reuses its buffers.
+/// caller's pool slot owns `workspace` for the whole stage, so the kernel
+/// reuses its route table, shape list and buffers.
 double candidate_bound(Engine& engine, verify::binding::Workspace& workspace,
                        const TuneQuery& query,
                        const std::vector<QueryPoint>& points,

@@ -8,7 +8,6 @@
 #include <limits>
 #include <sstream>
 #include <type_traits>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -64,148 +63,19 @@ class Sink {
   bool flagged_ = false;
 };
 
-/// Facts about one (src_core, dst_core) route, derived once per distinct
-/// pair rather than once per message (sweeps replay the same few core
-/// pairs across every round and job). Unlike the simulator's RouteTable —
-/// which asserts on malformed routes — defects are recorded so the caller
-/// can surface a located diagnostic instead of aborting.
-struct RouteFacts {
-  simnet::ChanSet channels;  ///< duplicate-free (FlowSim's view); unordered.
+/// The route facts the check and the bound read. A message's route is fixed
+/// by its divergence level fd, the outermost level where its endpoints'
+/// components differ (fd == depth for a self-message): it climbs every
+/// level in [fd, depth) on both sides and reads both endpoints' memory
+/// controllers, once where they are shared (levels above fd). So these
+/// facts form one small table indexed by fd. Unlike the simulator's
+/// RouteTable, which asserts on malformed routes, defects are recorded so
+/// the caller can surface a located diagnostic instead of aborting.
+struct LevelRoute {
   double latency = 0;
   double cap_min = kInf;  ///< min capacity over channels; inf for self.
   int raw_size = 0;       ///< deduped channel count, even when too deep.
   bool too_deep = false;  ///< route exceeds kMaxChannelsPerFlow.
-};
-
-/// Routes depend only on the machine, so one cache serves every analysis
-/// a Workspace runs (and every message of an alltoall round trades its
-/// flow_channels() walk for a hash lookup). Derivation replays the
-/// flow_channels() contract — egress/ingress at every level from the first
-/// divergent one inward, plus each endpoint's memory controllers — from
-/// tables precomputed once per machine, instead of re-walking the
-/// hierarchy API per pair; tests/test_binding.cpp pins the two against
-/// each other.
-class RouteCache {
- public:
-  explicit RouteCache(const topo::Machine& machine) : depth_(machine.depth()) {
-    radix_.resize(static_cast<std::size_t>(depth_));
-    link_bw_.resize(static_cast<std::size_t>(depth_));
-    offset_.resize(static_cast<std::size_t>(depth_));
-    lat_suffix_.assign(static_cast<std::size_t>(depth_) + 1, 0.0);
-    for (int k = depth_ - 1; k >= 0; --k) {
-      radix_[static_cast<std::size_t>(k)] = machine.hierarchy().radix(k);
-      link_bw_[static_cast<std::size_t>(k)] = machine.level(k).link_bandwidth;
-      offset_[static_cast<std::size_t>(k)] = machine.component_id(k, 0);
-      lat_suffix_[static_cast<std::size_t>(k)] =
-          lat_suffix_[static_cast<std::size_t>(k) + 1] +
-          2.0 * machine.level(k).link_latency;
-      if (machine.level(k).mem_bandwidth > 0) {
-        mem_levels_.push_back({k, machine.level(k).mem_bandwidth});
-      }
-    }
-    base_latency_ = machine.costs().base_latency;
-    comp_src_.resize(static_cast<std::size_t>(depth_));
-    comp_dst_.resize(static_cast<std::size_t>(depth_));
-    index_.reserve(1024);
-  }
-
-  std::int32_t route(std::int64_t src, std::int64_t dst) {
-    const std::uint64_t key = (static_cast<std::uint64_t>(src) << 32) |
-                              static_cast<std::uint64_t>(dst);
-    const auto [it, inserted] =
-        index_.try_emplace(key, static_cast<std::int32_t>(routes_.size()));
-    if (inserted) {
-      routes_.push_back(derive(src, dst));
-    }
-    return it->second;
-  }
-
-  const RouteFacts& facts(std::int32_t id) const {
-    return routes_[static_cast<std::size_t>(id)];
-  }
-
- private:
-  struct MemLevel {
-    int level = 0;
-    double bandwidth = 0;
-  };
-
-  RouteFacts derive(std::int64_t src, std::int64_t dst) {
-    RouteFacts rf;
-    rf.latency = base_latency_;
-    if (src == dst) {
-      return rf;
-    }
-    // Per-level component of each core (core / leaves-below), built with
-    // one small-radix division per level instead of a wide division per
-    // lookup: the leaf component IS the core, and each outer component is
-    // the inner one divided by the inner level's radix.
-    comp_src_[static_cast<std::size_t>(depth_) - 1] = src;
-    comp_dst_[static_cast<std::size_t>(depth_) - 1] = dst;
-    for (int k = depth_ - 2; k >= 0; --k) {
-      comp_src_[static_cast<std::size_t>(k)] =
-          comp_src_[static_cast<std::size_t>(k) + 1] /
-          radix_[static_cast<std::size_t>(k) + 1];
-      comp_dst_[static_cast<std::size_t>(k)] =
-          comp_dst_[static_cast<std::size_t>(k) + 1] /
-          radix_[static_cast<std::size_t>(k) + 1];
-    }
-    // First level (outermost = 0) where the cores' components diverge;
-    // exists because distinct cores differ at least at the leaf level.
-    int fd = 0;
-    while (comp_src_[static_cast<std::size_t>(fd)] ==
-           comp_dst_[static_cast<std::size_t>(fd)]) {
-      ++fd;
-    }
-    rf.latency += lat_suffix_[static_cast<std::size_t>(fd)];
-    // A memory controller above the divergence level is shared by both
-    // endpoints and must be accounted once, not twice (the FlowSim /
-    // RouteTable dedupe); below it the endpoints' controllers differ, as
-    // do every level's egress/ingress components.
-    rf.raw_size = 2 * (depth_ - fd);
-    for (const MemLevel& m : mem_levels_) {
-      rf.raw_size += m.level < fd ? 1 : 2;
-    }
-    if (rf.raw_size > simnet::kMaxChannelsPerFlow) {
-      rf.too_deep = true;
-      return rf;
-    }
-    const auto push = [&](simnet::ChannelId id, double cap) {
-      rf.channels.ids[static_cast<std::size_t>(rf.channels.count++)] = id;
-      rf.cap_min = std::min(rf.cap_min, cap);
-    };
-    for (int k = fd; k < depth_; ++k) {
-      const std::size_t ki = static_cast<std::size_t>(k);
-      const std::int64_t off = offset_[ki];
-      push(static_cast<simnet::ChannelId>(3 * (off + comp_src_[ki])),
-           link_bw_[ki]);
-      push(static_cast<simnet::ChannelId>(3 * (off + comp_dst_[ki]) + 1),
-           link_bw_[ki]);
-    }
-    for (const MemLevel& m : mem_levels_) {
-      const std::size_t ki = static_cast<std::size_t>(m.level);
-      const std::int64_t off = offset_[ki];
-      push(static_cast<simnet::ChannelId>(3 * (off + comp_src_[ki]) + 2),
-           m.bandwidth);
-      if (m.level >= fd) {
-        push(static_cast<simnet::ChannelId>(3 * (off + comp_dst_[ki]) + 2),
-             m.bandwidth);
-      }
-    }
-    return rf;
-  }
-
-  int depth_ = 0;
-  std::vector<std::int64_t> radix_;   ///< per-level radix.
-  std::vector<double> link_bw_;       ///< per-level egress/ingress capacity.
-  std::vector<std::int64_t> offset_;  ///< dense component id of (level, 0).
-  std::vector<double> lat_suffix_;    ///< 2 * sum of link latencies inward.
-  std::vector<MemLevel> mem_levels_;  ///< levels with a memory model.
-  double base_latency_ = 0;
-  std::vector<std::int64_t> comp_src_;  ///< derive() scratch, sized depth.
-  std::vector<std::int64_t> comp_dst_;
-  std::unordered_map<std::uint64_t, std::int32_t> index_;
-  std::vector<RouteFacts> routes_;
 };
 
 double round_cpu_time(const simmpi::PlanExec& exec,
@@ -221,21 +91,122 @@ double round_cpu_time(const simmpi::PlanExec& exec,
   return cpu;
 }
 
+/// The earliest channel entry and the total bytes of a set of messages:
+/// combined by min and exact int64 sum, so in any grouping or order.
+struct Traffic {
+  double entry = kInf;
+  std::int64_t bytes = 0;
+
+  void add(const Traffic& other) {
+    entry = std::min(entry, other.entry);
+    bytes += other.bytes;
+  }
+};
+
+/// One critical-path DP and its channel inputs, shared by every job with
+/// the same plan, repetitions, start time and per-message fd sequence: the
+/// DP reads only those, so AllComms jobs, which are translates of one
+/// another, run it once. The channel inputs are kept per (rank, level) as
+/// prefixes over fd: cell (r, k) holds the earliest entry and the total
+/// bytes of rank r's sends (receives) whose fd is <= k, i.e. exactly the
+/// messages that cross r's egress (ingress) channel at level k.
+struct Shape {
+  const simmpi::Schedule* schedule = nullptr;
+  const simmpi::PlanExec* exec = nullptr;
+  int repetitions = 1;
+  double start_time = 0;
+  std::size_t fd_begin = 0;  ///< the first such job's fds in msg_fd.
+  double critical_path = 0;
+  std::vector<Traffic> send;  ///< [rank * depth + level].
+  std::vector<Traffic> recv;
+  std::vector<std::uint8_t> send_lo;  ///< per rank: lowest fd sent, or depth.
+  std::vector<std::uint8_t> recv_lo;  ///< per rank: lowest fd received.
+};
+
 }  // namespace
 
-/// Everything an analysis allocates, kept across calls: the route memo
-/// (one derivation per core pair for the workspace's lifetime), channel
-/// capacities and every flat buffer of the checks and the kernel.
+/// Everything an analysis allocates, kept across calls: the machine's
+/// per-level tables, channel capacities and every flat buffer of the
+/// checks and the kernel.
 struct Workspace::Impl {
-  explicit Impl(const topo::Machine& m) : machine(&m), routes(m) {}
+  explicit Impl(const topo::Machine& m) : machine(&m), depth(m.depth()) {
+    const auto d = static_cast<std::size_t>(depth);
+    radix.resize(d);
+    chan_base.resize(d);
+    double mem_cap = kInf;
+    for (int k = 0; k < depth; ++k) {
+      radix[static_cast<std::size_t>(k)] = m.hierarchy().radix(k);
+      chan_base[static_cast<std::size_t>(k)] = 3 * m.component_id(k, 0);
+      if (m.level(k).mem_bandwidth > 0) {
+        mem_levels.push_back(k);
+        mem_cap = std::min(mem_cap, m.level(k).mem_bandwidth);
+      }
+    }
+    // Each fd's route extends fd + 1's by level fd's two link sides. Every
+    // memory controller caps every route; one above fd is shared by both
+    // endpoints and counted once (FlowSim's dedupe), one at or below fd
+    // twice.
+    route.resize(d + 1);
+    route[d].latency = m.costs().base_latency;
+    double lat_suffix = 0;
+    double link_cap = kInf;
+    int mem_below = 0;  ///< memory levels at or below k.
+    for (int k = depth - 1; k >= 0; --k) {
+      lat_suffix += 2.0 * m.level(k).link_latency;
+      link_cap = std::min(link_cap, m.level(k).link_bandwidth);
+      mem_below += m.level(k).mem_bandwidth > 0 ? 1 : 0;
+      LevelRoute& rf = route[static_cast<std::size_t>(k)];
+      rf.latency = m.costs().base_latency + lat_suffix;
+      rf.cap_min = std::min(link_cap, mem_cap);
+      rf.raw_size = 2 * (depth - k) +
+                    static_cast<int>(mem_levels.size()) + mem_below;
+      rf.too_deep = rf.raw_size > simnet::kMaxChannelsPerFlow;
+    }
+  }
+
+  /// Per-level components of `core` (core / leaves-below), one small-radix
+  /// division per level: the leaf component IS the core, and each outer
+  /// component is the inner one divided by the inner level's radix.
+  void components(std::int64_t core, std::int64_t* out) const {
+    out[depth - 1] = core;
+    for (int k = depth - 2; k >= 0; --k) {
+      out[k] = out[k + 1] / radix[static_cast<std::size_t>(k) + 1];
+    }
+  }
+
+  /// Calls f(channel) for each channel of the route between cores with
+  /// components `src` and `dst` diverging at fd: the simnet::flow_channels
+  /// set, deduplicated.
+  template <typename F>
+  void for_each_channel(const std::int64_t* src, const std::int64_t* dst,
+                        int fd, F&& f) const {
+    for (int k = fd; k < depth; ++k) {
+      const std::int64_t base = chan_base[static_cast<std::size_t>(k)];
+      f(static_cast<simnet::ChannelId>(base + 3 * src[k]));
+      f(static_cast<simnet::ChannelId>(base + 3 * dst[k] + 1));
+    }
+    for (const int k : mem_levels) {
+      const std::int64_t base = chan_base[static_cast<std::size_t>(k)];
+      f(static_cast<simnet::ChannelId>(base + 3 * src[k] + 2));
+      if (k >= fd) {
+        f(static_cast<simnet::ChannelId>(base + 3 * dst[k] + 2));
+      }
+    }
+  }
 
   const topo::Machine* machine;
-  RouteCache routes;
+  int depth;
+  std::vector<std::int64_t> radix;      ///< per-level radix.
+  std::vector<std::int64_t> chan_base;  ///< 3 * component_id(level, 0).
+  std::vector<int> mem_levels;          ///< levels with a memory model.
+  std::vector<LevelRoute> route;        ///< route facts by fd, [0, depth].
   std::vector<double> capacities;  ///< simnet::channel_capacities, lazily.
 
-  // Check phase: route id per message, all jobs back to back; job j's
-  // messages start at msg_base[j].
-  std::vector<std::int32_t> msg_route;
+  // Check phase, all jobs back to back: each rank's per-level components
+  // (job j's from comp_base[j]) and each message's fd (from msg_base[j]).
+  std::vector<std::int64_t> comp;
+  std::vector<std::size_t> comp_base;
+  std::vector<std::uint8_t> msg_fd;
   std::vector<std::size_t> msg_base;
   std::vector<std::int64_t> sorted_cores;  ///< duplicate-core scratch.
 
@@ -244,30 +215,34 @@ struct Workspace::Impl {
   // first round (its predecessor is the previous repetition's last round).
   std::vector<double> round_cpu;
   std::vector<std::int64_t> round_link;
-  // Kernel, per job: transfer floor per message and the DP values of one
-  // repetition.
+  // Kernel, per shape: transfer floor per message, the DP values of one
+  // repetition and each round's repetition-0 READY time.
   std::vector<double> floor;
   std::vector<double> finish;
   std::vector<double> inbound;
+  std::vector<double> ready0;
+  // The shapes of the current analysis; the first `nshapes` are live, the
+  // rest keep their buffers for the next call.
+  std::vector<Shape> shapes;
+  std::size_t nshapes = 0;
   // Channel-serialization inputs over all jobs; only touched entries are
   // ever non-default, and they are reset after each analysis.
-  std::vector<double> chan_entry;
-  std::vector<std::int64_t> chan_bytes;
+  std::vector<Traffic> chan;
   std::vector<simnet::ChannelId> chan_touched;
 
   void ensure_channels() {
     if (capacities.empty()) {
       capacities = simnet::channel_capacities(*machine);
-      chan_entry.assign(capacities.size(), kInf);
-      chan_bytes.assign(capacities.size(), 0);
+      chan.assign(capacities.size(), Traffic{});
     }
   }
 };
 
 namespace {
 
-/// Validate one job's binding and resolve its messages' routes into
-/// w.msg_route; returns false when later phases must not trust its
+/// Validate one job's binding and resolve its ranks' components into
+/// w.comp and its messages' divergence levels into w.msg_fd; returns false
+/// when later phases must not trust its
 /// indices. The plan's own CSR checks (message rounds, malformed ops) were
 /// made once by simmpi::derive_exec; only their verdicts are read here.
 bool check_job(Workspace::Impl& w, const JobBinding& job, Sink& sink) {
@@ -351,7 +326,15 @@ bool check_job(Workspace::Impl& w, const JobBinding& job, Sink& sink) {
     return false;
   }
 
-  // Resolve and vet every message's route.
+  // Every rank's per-level components, then every message's fd: the
+  // outermost level where its endpoints' components differ.
+  const auto depth = static_cast<std::size_t>(w.depth);
+  const std::size_t comp0 = w.comp.size();
+  w.comp.resize(comp0 + cores.size() * depth);
+  for (std::size_t r = 0; r < cores.size(); ++r) {
+    w.components(cores[r], w.comp.data() + comp0 + r * depth);
+  }
+  const std::int64_t* comp = w.comp.data() + comp0;
   for (std::size_t m = 0; m < sched.messages.size(); ++m) {
     const simmpi::MsgInfo& info = sched.messages[m];
     const auto msg_id = static_cast<std::int32_t>(m);
@@ -362,49 +345,34 @@ bool check_job(Workspace::Impl& w, const JobBinding& job, Sink& sink) {
                  " is never ", send_gi < 0 ? "sent" : "received",
                  " in the execution structure");
       ok = false;
-      w.msg_route.push_back(-1);
+      w.msg_fd.push_back(0);
       continue;
     }
-    const int send_round = static_cast<int>(
-        send_gi - exec.rank_rounds_begin[static_cast<std::size_t>(info.src)]);
-    const std::int64_t core_src = cores[static_cast<std::size_t>(info.src)];
-    const std::int64_t core_dst = cores[static_cast<std::size_t>(info.dst)];
-    const std::int32_t route = w.routes.route(core_src, core_dst);
-    w.msg_route.push_back(route);
-    const RouteFacts& rf = w.routes.facts(route);
-    const bool crosses_network = rf.raw_size > 0;
-    if (core_src == core_dst && crosses_network) {
-      sink.error(info.src, send_round, msg_id,
-                 "self-message on core ", core_src, " crosses ",
-                 rf.raw_size, " channels; self traffic must be "
-                 "latency-only");
-      ok = false;
-      continue;
+    const std::int64_t* src = comp + static_cast<std::size_t>(info.src) * depth;
+    const std::int64_t* dst = comp + static_cast<std::size_t>(info.dst) * depth;
+    std::size_t fd = 0;
+    while (fd < depth && src[fd] == dst[fd]) {
+      ++fd;
     }
-    if (core_src != core_dst && !crosses_network) {
-      sink.error(info.src, send_round, msg_id,
-                 "message between distinct cores ", core_src, " and ",
-                 core_dst, " resolved to an empty route");
-      ok = false;
+    w.msg_fd.push_back(static_cast<std::uint8_t>(fd));
+    const LevelRoute& rf = w.route[fd];
+    if (!rf.too_deep && rf.cap_min > 0) {
       continue;
     }
     // The simulator's RouteTable asserts (aborts) on these; report them as
     // analysis findings instead so a too-deep machine fails gracefully.
+    const int send_round = static_cast<int>(
+        send_gi - exec.rank_rounds_begin[static_cast<std::size_t>(info.src)]);
     if (rf.too_deep) {
-      sink.error(info.src, send_round, msg_id,
-                 "route crosses ", rf.raw_size,
+      sink.error(info.src, send_round, msg_id, "route crosses ", rf.raw_size,
                  " channels, above the simulator limit of ",
                  simnet::kMaxChannelsPerFlow);
-      ok = false;
-      continue;
-    }
-    if (rf.cap_min <= 0) {
+    } else {
       sink.error(info.src, send_round, msg_id,
                  "route bottleneck capacity is ", rf.cap_min,
                  "; transfers would never complete");
-      ok = false;
-      continue;
     }
+    ok = false;
   }
   return ok;
 }
@@ -435,8 +403,11 @@ void build_load_report(Workspace::Impl& w, const std::vector<JobBinding>& jobs,
     const simmpi::Schedule& sched = *job.schedule;
     const simmpi::PlanExec& exec = *job.exec;
     const auto reps = static_cast<std::int64_t>(job.repetitions);
+    const auto depth = static_cast<std::size_t>(w.depth);
+    const std::int64_t* comp = w.comp.data() + w.comp_base[j];
     for (std::size_t m = 0; m < sched.messages.size(); ++m) {
-      const RouteFacts& rf = w.routes.facts(w.msg_route[w.msg_base[j] + m]);
+      const int fd = w.msg_fd[w.msg_base[j] + m];
+      const LevelRoute& rf = w.route[static_cast<std::size_t>(fd)];
       const std::int64_t bytes = sched.messages[m].bytes();
       if (rf.raw_size == 0) {
         load.self_bytes += bytes * reps;
@@ -460,16 +431,18 @@ void build_load_report(Workspace::Impl& w, const std::vector<JobBinding>& jobs,
       round_straggler[static_cast<std::size_t>(round)] =
           std::max(round_straggler[static_cast<std::size_t>(round)],
                    static_cast<double>(bytes) / rf.cap_min);
-      const simnet::ChanSet& set = rf.channels;
-      for (std::int32_t k = 0; k < set.count; ++k) {
-        const simnet::ChannelId c = set.ids[static_cast<std::size_t>(k)];
-        if (chan_flows[static_cast<std::size_t>(c)] == 0) {
-          touched.push_back(c);
-        }
-        chan_bytes[static_cast<std::size_t>(c)] += bytes * reps;
-        chan_flows[static_cast<std::size_t>(c)] += reps;
-        touches.push_back({c, static_cast<std::int32_t>(round), bytes});
-      }
+      const simmpi::MsgInfo& info = sched.messages[m];
+      w.for_each_channel(
+          comp + static_cast<std::size_t>(info.src) * depth,
+          comp + static_cast<std::size_t>(info.dst) * depth, fd,
+          [&](simnet::ChannelId c) {
+            if (chan_flows[static_cast<std::size_t>(c)] == 0) {
+              touched.push_back(c);
+            }
+            chan_bytes[static_cast<std::size_t>(c)] += bytes * reps;
+            chan_flows[static_cast<std::size_t>(c)] += reps;
+            touches.push_back({c, static_cast<std::int32_t>(round), bytes});
+          });
     }
   }
   for (std::size_t r = 0; r < load.rounds.size(); ++r) {
@@ -584,9 +557,10 @@ void prepare_plan(Workspace::Impl& w, const simmpi::PlanExec& exec) {
   }
 }
 
-/// The bound kernel: critical-path DP over (job, rank, virtual round)
-/// nodes, plus the per-channel serialization bound. Requires every job to
-/// have passed check_job (w.msg_route holds its routes).
+/// The critical-path DP over one job's (rank, virtual round) nodes, whose
+/// messages diverge at levels `fd`: sets shape.critical_path and leaves
+/// each round's repetition-0 READY time in w.ready0. Requires
+/// prepare_plan(w, *job.exec) and an acyclic visit order.
 ///
 /// Each node splits into a READY event (previous round finished + this
 /// round's CPU cost) and a FINISH event (all posted ops complete). A
@@ -594,23 +568,239 @@ void prepare_plan(Workspace::Impl& w, const simmpi::PlanExec& exec) {
 /// its FINISH — which is what lets the ubiquitous same-round exchange
 /// (a<->b sendrecv) stay acyclic: posts are non-blocking, only the
 /// waitall orders rounds. Events are visited in the plan's
-/// PlanExec::visit_order, once per repetition, job by job; one repetition
-/// of DP values lives in flat per-round buffers (a round's inbound term is
-/// cleared when its FINISH consumes it). A short visit order means a
-/// genuine happens-before cycle: diagnosed, and the bound stays 0
+/// PlanExec::visit_order, once per repetition; one repetition of DP values
+/// lives in flat per-round buffers (a round's inbound term is cleared when
+/// its FINISH consumes it).
+void critical_path_dp(Workspace::Impl& w, const JobBinding& job,
+                      const std::uint8_t* fd, Shape& shape) {
+  const simmpi::PlanExec& exec = *job.exec;
+  const std::int64_t eager_threshold = w.machine->costs().eager_threshold;
+  const std::int64_t nrounds = exec.rank_rounds_begin.back();
+  const std::size_t nmsgs = exec.msg_bytes.size();
+  w.floor.resize(nmsgs);
+  for (std::size_t m = 0; m < nmsgs; ++m) {
+    const LevelRoute& rf = w.route[fd[m]];
+    w.floor[m] =
+        rf.latency + static_cast<double>(exec.msg_bytes[m]) / rf.cap_min;
+  }
+  w.finish.resize(static_cast<std::size_t>(nrounds));
+  w.inbound.assign(static_cast<std::size_t>(nrounds), 0.0);
+  w.ready0.resize(static_cast<std::size_t>(nrounds));
+  double* finish = w.finish.data();
+  double* inbound = w.inbound.data();
+  double* ready0 = w.ready0.data();
+  const double* floor = w.floor.data();
+  const std::int64_t* link = w.round_link.data();
+  const std::int64_t reps = job.repetitions;
+  double cp = 0.0;
+
+  for (std::int64_t rep = 0; rep < reps; ++rep) {
+    for (const std::int64_t event : exec.visit_order) {
+      const auto gi = static_cast<std::size_t>(event / 2);
+      const std::int64_t prev = link[gi];
+      const double post = prev >= 0 ? finish[prev]
+                          : rep == 0 ? job.start_time
+                                     : finish[-1 - prev];
+      if (event % 2 == 1) {
+        // FINISH: all prerequisites delivered. NOT clamped to this round's
+        // own ready: the engine completes an in-flight receive at transfer
+        // time without waiting out the receiver's CPU serialisation, so a
+        // recv-only round can finish before its own ready. The ready term
+        // was merged into `inbound` at READY time exactly when the engine
+        // guarantees it (eager sends complete at ready; op-less rounds
+        // advance at ready).
+        finish[gi] = std::max(post, inbound[gi]);
+        inbound[gi] = 0.0;
+        const bool last_round =
+            gi + 1 == static_cast<std::size_t>(nrounds) || link[gi + 1] < 0;
+        if (last_round && rep == reps - 1) {
+          cp = std::max(cp, finish[gi]);
+        }
+        continue;
+      }
+
+      // READY: the previous round's FINISH (or the job start) is known.
+      const double ready = post + w.round_cpu[gi];
+      if (rep == 0) {
+        ready0[gi] = ready;
+      }
+      bool has_eager_send = false;
+      for (std::int64_t k = exec.send_begin[gi]; k < exec.send_begin[gi + 1];
+           ++k) {
+        const auto m = static_cast<std::size_t>(
+            exec.send_msg[static_cast<std::size_t>(k)]);
+        // The receiver's FINISH of the same repetition waits at least the
+        // transfer floor past this READY.
+        const double arrival = ready + floor[m];
+        const auto ri = static_cast<std::size_t>(exec.msg_recv_round[m]);
+        inbound[ri] = std::max(inbound[ri], arrival);
+        if (exec.msg_bytes[m] <= eager_threshold) {
+          has_eager_send = true;
+        } else {
+          // Rendezvous sends complete no earlier than their own transfer
+          // floor (the receiver-ready term is dropped to keep the DP
+          // acyclic — still a valid lower bound).
+          inbound[gi] = std::max(inbound[gi], arrival);
+        }
+      }
+      for (std::int64_t k = exec.recv_begin[gi]; k < exec.recv_begin[gi + 1];
+           ++k) {
+        const auto m = static_cast<std::size_t>(
+            exec.recv_msg[static_cast<std::size_t>(k)]);
+        if (exec.msg_bytes[m] > eager_threshold) {
+          // Rendezvous transfers start only after the receiver posts.
+          inbound[gi] = std::max(inbound[gi], ready + floor[m]);
+        }
+      }
+      // The engine only guarantees finish >= ready when an eager send
+      // completes at ready, or when the round has no network ops and
+      // advances at ready. A recv-only round's in-flight receives complete
+      // at raw transfer time, possibly before its own ready.
+      const bool has_sends = exec.send_begin[gi + 1] > exec.send_begin[gi];
+      const bool has_recvs = exec.recv_begin[gi + 1] > exec.recv_begin[gi];
+      if (has_eager_send || (!has_sends && !has_recvs)) {
+        inbound[gi] = std::max(inbound[gi], ready);
+      }
+    }
+  }
+  shape.critical_path = cp;
+}
+
+/// The shape's per-(rank, level) channel inputs from w.ready0. A message
+/// enters its channels at its sender's repetition-0 READY plus its path
+/// latency (ready is non-decreasing across repetitions, so repetition 0
+/// holds each channel's earliest possible entry) and carries its bytes in
+/// every repetition. Each message lands in its sender's and its receiver's
+/// cell at its fd; prefix sums over levels then give cell (r, k) every
+/// message with fd <= k.
+void channel_inputs(Workspace::Impl& w, const JobBinding& job,
+                    const std::uint8_t* fd, Shape& shape) {
+  const simmpi::Schedule& sched = *job.schedule;
+  const simmpi::PlanExec& exec = *job.exec;
+  const auto depth = static_cast<std::size_t>(w.depth);
+  const auto cells = static_cast<std::size_t>(sched.nranks) * depth;
+  shape.send.assign(cells, Traffic{});
+  shape.recv.assign(cells, Traffic{});
+  shape.send_lo.assign(static_cast<std::size_t>(sched.nranks),
+                       static_cast<std::uint8_t>(depth));
+  shape.recv_lo.assign(static_cast<std::size_t>(sched.nranks),
+                       static_cast<std::uint8_t>(depth));
+  const std::int64_t reps = job.repetitions;
+  for (std::size_t m = 0; m < sched.messages.size(); ++m) {
+    const std::uint8_t f = fd[m];
+    if (f == depth) {
+      continue;  // self-message: latency-only, no channel.
+    }
+    const Traffic traffic{
+        w.ready0[static_cast<std::size_t>(exec.msg_send_round[m])] +
+            w.route[f].latency,
+        exec.msg_bytes[m] * reps};
+    const auto src = static_cast<std::size_t>(sched.messages[m].src);
+    const auto dst = static_cast<std::size_t>(sched.messages[m].dst);
+    shape.send[src * depth + f].add(traffic);
+    shape.recv[dst * depth + f].add(traffic);
+    shape.send_lo[src] = std::min(shape.send_lo[src], f);
+    shape.recv_lo[dst] = std::min(shape.recv_lo[dst], f);
+  }
+  for (std::size_t row = 0; row < cells; row += depth) {
+    for (std::size_t k = row + 1; k < row + depth; ++k) {
+      shape.send[k].add(shape.send[k - 1]);
+      shape.recv[k].add(shape.recv[k - 1]);
+    }
+  }
+}
+
+/// The shape job j runs: an earlier job's when plan, repetitions, start
+/// time (bit for bit) and fd sequence all match, else a new one with its DP
+/// and channel inputs computed.
+const Shape& shape_of(Workspace::Impl& w, const JobBinding& job,
+                      std::size_t j, const simmpi::PlanExec*& prepared) {
+  const std::uint8_t* fd = w.msg_fd.data() + w.msg_base[j];
+  const std::size_t nmsgs = w.msg_base[j + 1] - w.msg_base[j];
+  const auto start_bits = std::bit_cast<std::uint64_t>(job.start_time);
+  for (std::size_t i = 0; i < w.nshapes; ++i) {
+    const Shape& s = w.shapes[i];
+    if (s.exec == job.exec && s.schedule == job.schedule &&
+        s.repetitions == job.repetitions &&
+        std::bit_cast<std::uint64_t>(s.start_time) == start_bits &&
+        std::equal(fd, fd + nmsgs, w.msg_fd.data() + s.fd_begin)) {
+      return s;
+    }
+  }
+  if (w.nshapes == w.shapes.size()) {
+    w.shapes.emplace_back();
+  }
+  Shape& s = w.shapes[w.nshapes++];
+  s.schedule = job.schedule;
+  s.exec = job.exec;
+  s.repetitions = job.repetitions;
+  s.start_time = job.start_time;
+  s.fd_begin = w.msg_base[j];
+  if (job.exec != prepared) {
+    prepare_plan(w, *job.exec);
+    prepared = job.exec;
+  }
+  critical_path_dp(w, job, fd, s);
+  channel_inputs(w, job, fd, s);
+  return s;
+}
+
+/// Adds one job's traffic to the channel-serialization inputs: each rank's
+/// prefix cell at level k goes to its component's egress (ingress) channel
+/// at k, from its lowest fd inward; its memory channels take every send
+/// and the receives whose fd is at or above the controller's level.
+void fold_channels(Workspace::Impl& w, const Shape& shape,
+                   const std::int64_t* comp, std::size_t nranks) {
+  const int depth = w.depth;
+  const auto touch = [&w](std::int64_t id, const Traffic& t) {
+    Traffic& chan = w.chan[static_cast<std::size_t>(id)];
+    if (chan.entry == kInf) {
+      w.chan_touched.push_back(static_cast<simnet::ChannelId>(id));
+    }
+    chan.add(t);
+  };
+  for (std::size_t r = 0; r < nranks; ++r) {
+    const std::size_t row = r * static_cast<std::size_t>(depth);
+    const std::int64_t* c = comp + row;
+    const Traffic* send = shape.send.data() + row;
+    const Traffic* recv = shape.recv.data() + row;
+    const int send_lo = shape.send_lo[r];
+    const int recv_lo = shape.recv_lo[r];
+    for (int k = send_lo; k < depth; ++k) {
+      touch(w.chan_base[static_cast<std::size_t>(k)] + 3 * c[k], send[k]);
+    }
+    for (int k = recv_lo; k < depth; ++k) {
+      touch(w.chan_base[static_cast<std::size_t>(k)] + 3 * c[k] + 1, recv[k]);
+    }
+    for (const int k : w.mem_levels) {
+      const std::int64_t mem =
+          w.chan_base[static_cast<std::size_t>(k)] + 3 * c[k] + 2;
+      if (send_lo < depth) {
+        touch(mem, send[depth - 1]);
+      }
+      if (k >= recv_lo) {
+        touch(mem, recv[k]);
+      }
+    }
+  }
+}
+
+/// The bound kernel: the critical-path DP once per job shape, plus the
+/// per-channel serialization bound folded from each job's per-rank cells.
+/// Requires every job to have passed check_job. A short visit order means
+/// a genuine happens-before cycle: diagnosed, and the bound stays 0
 /// (trivially sound).
 void bound_kernel(Workspace::Impl& w, const std::vector<JobBinding>& jobs,
                   Sink& sink, Bound& bound) {
   w.ensure_channels();
-  const std::int64_t eager_threshold = w.machine->costs().eager_threshold;
+  w.nshapes = 0;
   const simmpi::PlanExec* prepared = nullptr;
   bool acyclic = true;
   double cp = 0.0;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     const JobBinding& job = jobs[j];
-    const simmpi::PlanExec& exec = *job.exec;
-    const std::int64_t nrounds = exec.rank_rounds_begin.back();
-    const std::vector<std::int64_t>& order = exec.visit_order;
+    const std::int64_t nrounds = job.exec->rank_rounds_begin.back();
+    const std::vector<std::int64_t>& order = job.exec->visit_order;
     if (static_cast<std::int64_t>(order.size()) != 2 * nrounds) {
       const auto finished = std::count_if(
           order.begin(), order.end(), [](std::int64_t e) { return e % 2; });
@@ -623,122 +813,23 @@ void bound_kernel(Workspace::Impl& w, const std::vector<JobBinding>& jobs,
       acyclic = false;
       continue;
     }
-    if (&exec != prepared) {
-      prepare_plan(w, exec);
-      prepared = &exec;
-    }
-    const std::size_t nmsgs = exec.msg_bytes.size();
-    const std::int32_t* route = w.msg_route.data() + w.msg_base[j];
-    w.floor.resize(nmsgs);
-    for (std::size_t m = 0; m < nmsgs; ++m) {
-      const RouteFacts& rf = w.routes.facts(route[m]);
-      w.floor[m] =
-          rf.latency + static_cast<double>(exec.msg_bytes[m]) / rf.cap_min;
-    }
-    w.finish.resize(static_cast<std::size_t>(nrounds));
-    w.inbound.assign(static_cast<std::size_t>(nrounds), 0.0);
-    double* finish = w.finish.data();
-    double* inbound = w.inbound.data();
-    const double* floor = w.floor.data();
-    const std::int64_t* link = w.round_link.data();
-    const std::int64_t reps = job.repetitions;
-
-    for (std::int64_t rep = 0; rep < reps; ++rep) {
-      for (const std::int64_t event : order) {
-        const auto gi = static_cast<std::size_t>(event / 2);
-        const std::int64_t prev = link[gi];
-        const double post = prev >= 0 ? finish[prev]
-                            : rep == 0 ? job.start_time
-                                       : finish[-1 - prev];
-        if (event % 2 == 1) {
-          // FINISH: all prerequisites delivered. NOT clamped to this
-          // round's own ready: the engine completes an in-flight receive
-          // at transfer time without waiting out the receiver's CPU
-          // serialisation, so a recv-only round can finish before its own
-          // ready. The ready term was merged into `inbound` at READY time
-          // exactly when the engine guarantees it (eager sends complete at
-          // ready; op-less rounds advance at ready).
-          finish[gi] = std::max(post, inbound[gi]);
-          inbound[gi] = 0.0;
-          const bool last_round =
-              gi + 1 == static_cast<std::size_t>(nrounds) || link[gi + 1] < 0;
-          if (last_round && rep == reps - 1) {
-            cp = std::max(cp, finish[gi]);
-          }
-          continue;
-        }
-
-        // READY: the previous round's FINISH (or the job start) is known.
-        const double ready = post + w.round_cpu[gi];
-        bool has_eager_send = false;
-        for (std::int64_t k = exec.send_begin[gi]; k < exec.send_begin[gi + 1];
-             ++k) {
-          const auto m = static_cast<std::size_t>(
-              exec.send_msg[static_cast<std::size_t>(k)]);
-          // The receiver's FINISH of the same repetition waits at least
-          // the transfer floor past this READY.
-          const double arrival = ready + floor[m];
-          const auto ri = static_cast<std::size_t>(exec.msg_recv_round[m]);
-          inbound[ri] = std::max(inbound[ri], arrival);
-          if (exec.msg_bytes[m] <= eager_threshold) {
-            has_eager_send = true;
-          } else {
-            // Rendezvous sends complete no earlier than their own transfer
-            // floor (the receiver-ready term is dropped to keep the DP
-            // acyclic — still a valid lower bound).
-            inbound[gi] = std::max(inbound[gi], arrival);
-          }
-          const RouteFacts& rf = w.routes.facts(route[m]);
-          if (rep == 0 && rf.raw_size > 0) {
-            // ready is non-decreasing across repetitions, so repetition 0
-            // holds each channel's earliest possible entry.
-            const double entry = ready + rf.latency;
-            for (std::int32_t s = 0; s < rf.channels.count; ++s) {
-              const simnet::ChannelId id =
-                  rf.channels.ids[static_cast<std::size_t>(s)];
-              const auto c = static_cast<std::size_t>(id);
-              if (w.chan_bytes[c] == 0) {
-                w.chan_touched.push_back(id);
-              }
-              w.chan_entry[c] = std::min(w.chan_entry[c], entry);
-              w.chan_bytes[c] += exec.msg_bytes[m] * reps;
-            }
-          }
-        }
-        for (std::int64_t k = exec.recv_begin[gi]; k < exec.recv_begin[gi + 1];
-             ++k) {
-          const auto m = static_cast<std::size_t>(
-              exec.recv_msg[static_cast<std::size_t>(k)]);
-          if (exec.msg_bytes[m] > eager_threshold) {
-            // Rendezvous transfers start only after the receiver posts.
-            inbound[gi] = std::max(inbound[gi], ready + floor[m]);
-          }
-        }
-        // The engine only guarantees finish >= ready when an eager send
-        // completes at ready, or when the round has no network ops and
-        // advances at ready. A recv-only round's in-flight receives
-        // complete at raw transfer time, possibly before its own ready.
-        const bool has_sends = exec.send_begin[gi + 1] > exec.send_begin[gi];
-        const bool has_recvs = exec.recv_begin[gi + 1] > exec.recv_begin[gi];
-        if (has_eager_send || (!has_sends && !has_recvs)) {
-          inbound[gi] = std::max(inbound[gi], ready);
-        }
-      }
-    }
+    const Shape& shape = shape_of(w, job, j, prepared);
+    cp = std::max(cp, shape.critical_path);
+    fold_channels(w, shape, w.comp.data() + w.comp_base[j],
+                  static_cast<std::size_t>(job.schedule->nranks));
   }
   sink.job(-1);
 
   double agg = 0.0;
   for (const simnet::ChannelId id : w.chan_touched) {
     const auto c = static_cast<std::size_t>(id);
-    agg = std::max(agg, w.chan_entry[c] + static_cast<double>(w.chan_bytes[c]) /
+    agg = std::max(agg, w.chan[c].entry + static_cast<double>(w.chan[c].bytes) /
                                               w.capacities[c]);
   }
-  // A zero-byte channel is listed once per touch, so reset only after the
-  // whole list has been read.
+  // A channel can be listed twice (an infinite entry never marks it), so
+  // reset only after the whole list has been read.
   for (const simnet::ChannelId id : w.chan_touched) {
-    w.chan_entry[static_cast<std::size_t>(id)] = kInf;
-    w.chan_bytes[static_cast<std::size_t>(id)] = 0;
+    w.chan[static_cast<std::size_t>(id)] = Traffic{};
   }
   w.chan_touched.clear();
   if (!acyclic) {
@@ -756,13 +847,16 @@ void analyze_into(Workspace::Impl& w, const std::vector<JobBinding>& jobs,
   if (jobs.empty()) {
     return;
   }
-  w.msg_route.clear();
+  w.comp.clear();
+  w.comp_base.assign(1, 0);
+  w.msg_fd.clear();
   w.msg_base.assign(1, 0);
   bool ok = true;
   for (std::size_t j = 0; j < jobs.size(); ++j) {
     sink.job(static_cast<int>(j));
     ok = check_job(w, jobs[j], sink) && ok;
-    w.msg_base.push_back(w.msg_route.size());
+    w.comp_base.push_back(w.comp.size());
+    w.msg_base.push_back(w.msg_fd.size());
   }
   if (!ok) {
     return;

@@ -237,6 +237,32 @@ TEST(BindingDiagnostics, DuplicateCoreIsWarningOnly) {
   EXPECT_LE(r.bound.lower_bound, sim * kFpSlop);
 }
 
+TEST(BindingDiagnostics, TooDeepRouteIsErrorOnlyWhereItCrossesTooFar) {
+  // Thirteen binary levels: a route diverging at the outermost level
+  // crosses 26 channels, above the simulator's 24; one diverging at the
+  // leaf crosses 2.
+  std::vector<topo::LevelSpec> levels(13, {"level", 2, 1e-7, 1e10, 0});
+  for (std::size_t k = 0; k < levels.size(); ++k) {
+    levels[k].name += std::to_string(k);
+  }
+  const topo::Machine m("deep13", levels);
+  const simmpi::Plan plan = simmpi::compile_plan("allgather_ring", 2, 16);
+  const Result shallow = analyze(plan, m, {0, 1});
+  EXPECT_TRUE(shallow.clean()) << shallow.to_string();
+  EXPECT_GT(shallow.bound.lower_bound, 0.0);
+
+  Workspace workspace(m);
+  const std::vector<std::int64_t> cores = {0, 4096};
+  const Result deep = analyze_jobs(
+      workspace, {{&plan.schedule, &plan.exec, 1, &cores, 0.0}});
+  ASSERT_FALSE(deep.clean());
+  EXPECT_NE(deep.report.diagnostics.front().text.find(
+                "route crosses 26 channels, above the simulator limit of 24"),
+            std::string::npos)
+      << deep.report.to_string();
+  EXPECT_EQ(deep.bound.lower_bound, 0.0);
+}
+
 TEST(BindingDiagnostics, RepetitionOverflowIsError) {
   const auto m = topo::testbox();
   simmpi::ScheduleBuilder b(2, 8);

@@ -130,6 +130,7 @@ TEST(FlowSim, StealScalesVictimsToTheFairShare) {
   EXPECT_DOUBLE_EQ(sim.flow_rate(b), 50.0);
   EXPECT_EQ(sim.stats().full_recomputes, 1);  // no exact pass triggered
   EXPECT_EQ(sim.stats().deferred_rejections, 0);
+  EXPECT_EQ(sim.stats().steals, 1);
 }
 
 TEST(FlowSim, StealRefusesCrowdedChannelsAndFallsBackToExact) {
@@ -141,6 +142,7 @@ TEST(FlowSim, StealRefusesCrowdedChannelsAndFallsBackToExact) {
   EXPECT_DOUBLE_EQ(sim.flow_rate(0), 66.0);  // 4290 / 65, rates now clean
   const auto late = sim.add_flow({0}, 1e6, 65);
   EXPECT_EQ(sim.stats().deferred_rejections, 1);
+  EXPECT_EQ(sim.stats().steals, 0);
   EXPECT_DOUBLE_EQ(sim.flow_rate(late), 65.0);  // exact pass: 4290 / 66
   EXPECT_EQ(sim.stats().full_recomputes, 2);
 }
@@ -263,6 +265,24 @@ TEST(FlowSimStats, ScriptedScenarioCountsDeferredAndFullRecomputes) {
   EXPECT_EQ(stats.pop_batches, 2);
 }
 
+TEST(FlowSimStats, ScriptedStealIsCounted) {
+  // Each newcomer on the saturated channel takes its fair share from the
+  // flows already there: a steal, not a headroom grant or a rejection.
+  FlowSim sim({120.0}, 0.01);
+  const auto first = sim.add_flow({0}, 1e6, 1);
+  EXPECT_DOUBLE_EQ(sim.flow_rate(first), 120.0);  // exact recompute: clean.
+  sim.add_flow({0}, 1e6, 2);  // headroom 0, fair share 60 -> steal #1.
+  const auto third = sim.add_flow({0}, 1e6, 3);  // fair share 40 -> steal #2.
+  EXPECT_DOUBLE_EQ(sim.flow_rate(third), 40.0);
+  EXPECT_DOUBLE_EQ(sim.flow_rate(first), 40.0);
+
+  const FlowSim::Stats& stats = sim.stats();
+  EXPECT_EQ(stats.steals, 2);
+  EXPECT_EQ(stats.deferred_allocations, 0);
+  EXPECT_EQ(stats.deferred_rejections, 0);
+  EXPECT_EQ(stats.full_recomputes, 1);
+}
+
 TEST(FlowSimStats, ExactModeNeverDefers) {
   // Slack 0 disables the fast path: every batch forces an exact pass.
   FlowSim sim({100.0});
@@ -274,6 +294,7 @@ TEST(FlowSimStats, ExactModeNeverDefers) {
   const FlowSim::Stats& stats = sim.stats();
   EXPECT_EQ(stats.deferred_allocations, 0);
   EXPECT_EQ(stats.deferred_rejections, 0);
+  EXPECT_EQ(stats.steals, 0);
   EXPECT_EQ(stats.full_recomputes, 2);
   EXPECT_EQ(stats.pop_batches, 2);
 }
